@@ -1,7 +1,8 @@
 /// \file perf_microbench.cpp
 /// \brief google-benchmark microbenchmarks for the numerical substrates:
-///        steady-state thermal solves vs grid resolution, thermosyphon
-///        solves, and the full coupled server simulation.
+///        steady-state thermal solves vs grid resolution, the CG kernels
+///        (SpMV, SSOR sweep, one PCG iteration) in ns per cell,
+///        thermosyphon solves, and the full coupled server simulation.
 
 #include <benchmark/benchmark.h>
 
@@ -113,7 +114,17 @@ util::StencilOperator stencil_like_thermal(std::size_t nx, std::size_t ny,
   return op;
 }
 
-/// SpMV on the banded stencil representation (matrix-free, threaded).
+/// Counter reporting seconds per unit of `work_per_iteration` (cells, or
+/// cells x CG iterations) of one benchmark iteration; the console shows
+/// it with an SI prefix (e.g. "6.9ns").
+benchmark::Counter time_per(double work_per_iteration) {
+  return benchmark::Counter(work_per_iteration,
+                            benchmark::Counter::kIsIterationInvariantRate |
+                                benchmark::Counter::kInvert);
+}
+
+/// SpMV on the banded stencil representation (matrix-free; inline up to
+/// util::kVectorGrain cells, threaded above).
 void BM_SpmvStencil(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const util::StencilOperator op = stencil_like_thermal(n, n, 6);
@@ -123,6 +134,7 @@ void BM_SpmvStencil(benchmark::State& state) {
     benchmark::DoNotOptimize(y.data());
   }
   state.counters["cells"] = static_cast<double>(op.size());
+  state.counters["time_per_cell"] = time_per(static_cast<double>(op.size()));
 }
 BENCHMARK(BM_SpmvStencil)->Arg(32)->Arg(64)->Arg(128)
     ->Unit(benchmark::kMicrosecond);
@@ -162,6 +174,56 @@ void BM_StencilCgSolve(benchmark::State& state) {
   state.SetLabel(ssor ? "ssor" : "jacobi");
 }
 BENCHMARK(BM_StencilCgSolve)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+/// The package-stack thermal model at `state.range(0)` micrometre pitch
+/// with the steady solve's boundary and a hot spot on the die.
+thermal::ThermalModel thermal_model_at_pitch(const benchmark::State& state) {
+  thermal::PackageStackConfig stack_config;
+  stack_config.cell_size_m = 1e-6 * static_cast<double>(state.range(0));
+  thermal::ThermalModel model(thermal::make_package_stack(stack_config));
+  model.set_top_boundary_uniform(1.2e4, 40.0);
+  util::Grid2D<double> power(model.nx(), model.ny(), 0.0);
+  power(model.nx() / 2, model.ny() / 2) = 60.0;
+  model.set_power_map(power);
+  return model;
+}
+
+/// One SSOR preconditioner application (forward + backward wavefront
+/// sweep) on the thermal operator, at the steady solve's omega.
+void BM_SsorApply(benchmark::State& state) {
+  const thermal::ThermalModel model = thermal_model_at_pitch(state);
+  const util::StencilOperator& op = model.conductance_operator();
+  const std::vector<double> r(op.size(), 1.0);
+  std::vector<double> z;
+  for (auto _ : state) {
+    op.ssor_apply(r, z, 1.7);
+    benchmark::DoNotOptimize(z.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["cells"] = static_cast<double>(op.size());
+  state.counters["time_per_cell"] = time_per(static_cast<double>(op.size()));
+}
+BENCHMARK(BM_SsorApply)->Arg(2000)->Arg(750)->Unit(benchmark::kMicrosecond);
+
+/// Cost of one SSOR-PCG iteration (SpMV, two dots, the fused x/r update
+/// with its norm, one SSOR application, the p update) on the thermal
+/// operator: a cold steady solve (the thermal model's own system and
+/// initial guess) divided by its iteration count and cell count, the
+/// same quantity the trace ledger reports as util.cg.ns_per_cell_iter.
+void BM_CgIteration(benchmark::State& state) {
+  const thermal::ThermalModel model = thermal_model_at_pitch(state);
+  std::size_t iterations = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.solve_steady());
+    iterations = model.last_solve_stats().iterations;
+  }
+  const auto cells = static_cast<double>(model.cell_count());
+  state.counters["cells"] = cells;
+  state.counters["iterations"] = static_cast<double>(iterations);
+  state.counters["time_per_cell_iter"] =
+      time_per(cells * static_cast<double>(iterations));
+}
+BENCHMARK(BM_CgIteration)->Arg(2000)->Arg(750)->Unit(benchmark::kMillisecond);
 
 /// Scheduling decision only (profiling + selection + placement).
 void BM_ScheduleDecision(benchmark::State& state) {

@@ -56,6 +56,11 @@ void ThermalModel::set_bottom_boundary(double htc_w_m2k, double ambient_c) {
   dirty_ = true;
 }
 
+const util::StencilOperator& ThermalModel::conductance_operator() const {
+  assemble();
+  return operator_;
+}
+
 void ThermalModel::assemble() const {
   if (!dirty_) return;
   const std::size_t n = cell_count();

@@ -61,6 +61,10 @@ class ThermalModel {
   [[nodiscard]] std::vector<double> solve_steady(
       const std::vector<double>& hint = {}) const;
 
+  /// The steady conductance operator G, assembled on demand from the
+  /// current boundary state (solver microbenchmarks time kernels on it).
+  [[nodiscard]] const util::StencilOperator& conductance_operator() const;
+
   /// Iteration/residual statistics of the most recent steady or transient
   /// solve (feeds the solver benchmarks).
   [[nodiscard]] const util::CgResult& last_solve_stats() const noexcept {

@@ -107,31 +107,57 @@ bool SparseMatrix::is_symmetric(double tol) const {
 
 namespace {
 
-/// Vector lengths below this run the CG kernels serially: the thermal
-/// grid's auxiliary systems (and every unit-test system) are far smaller
-/// and must not pay pool synchronization. One grain == inline execution.
-constexpr std::size_t kVectorGrain = 1 << 14;
-
-double dot(const std::vector<double>& a, const std::vector<double>& b) {
-  return ThreadPool::global().parallel_reduce(
-      0, a.size(), kVectorGrain, [&](std::size_t lo, std::size_t hi) {
-        return std::inner_product(a.begin() + static_cast<std::ptrdiff_t>(lo),
-                                  a.begin() + static_cast<std::ptrdiff_t>(hi),
-                                  b.begin() + static_cast<std::ptrdiff_t>(lo),
-                                  0.0);
-      });
+/// Sum of `partial(lo, hi)` over [0, n). Up to kVectorGrain elements this
+/// is one inline call; above it, fixed kVectorGrain chunks on the global
+/// pool summed in chunk order, so the result is the same for any thread
+/// count.
+template <typename F>
+double reduce_elements(std::size_t n, F&& partial) {
+  if (n <= kVectorGrain) return partial(0, n);
+  return ThreadPool::global().parallel_reduce(0, n, kVectorGrain, partial);
 }
 
-double norm2(const std::vector<double>& a) { return std::sqrt(dot(a, a)); }
-
-/// Element-wise kernel over [0, n): disjoint writes, deterministic.
+/// Element-wise kernel over [0, n): disjoint writes, deterministic. Inline
+/// up to kVectorGrain elements.
 template <typename F>
 void foreach_element(std::size_t n, F&& f) {
+  if (n <= kVectorGrain) {
+    for (std::size_t i = 0; i < n; ++i) f(i);
+    return;
+  }
   ThreadPool::global().parallel_for(0, n, kVectorGrain,
                                     [&](std::size_t lo, std::size_t hi) {
                                       for (std::size_t i = lo; i < hi; ++i)
                                         f(i);
                                     });
+}
+
+double dot(const std::vector<double>& a, const std::vector<double>& b) {
+  return reduce_elements(a.size(), [&](std::size_t lo, std::size_t hi) {
+    return std::inner_product(a.begin() + static_cast<std::ptrdiff_t>(lo),
+                              a.begin() + static_cast<std::ptrdiff_t>(hi),
+                              b.begin() + static_cast<std::ptrdiff_t>(lo),
+                              0.0);
+  });
+}
+
+double norm2(const std::vector<double>& a) { return std::sqrt(dot(a, a)); }
+
+/// x += αp and r -= αAp, returning r·r from the same pass. The chunks and
+/// the per-chunk summation order are dot()'s, so the sum is bit-identical
+/// to a separate dot(r, r) after the update.
+double update_solution(double alpha, const std::vector<double>& p,
+                       const std::vector<double>& ap, std::vector<double>& x,
+                       std::vector<double>& r) {
+  return reduce_elements(x.size(), [&](std::size_t lo, std::size_t hi) {
+    double rr = 0.0;
+    for (std::size_t i = lo; i < hi; ++i) {
+      x[i] += alpha * p[i];
+      r[i] -= alpha * ap[i];
+      rr += r[i] * r[i];
+    }
+    return rr;
+  });
 }
 
 /// SSOR application for the general CSR matrix (CSR columns are sorted, so
@@ -184,14 +210,18 @@ CgResult cg_impl(const Op& a, const std::vector<double>& b,
     return {0, 0.0};
   }
 
-  std::vector<double> diag = a.diagonal();
-  std::vector<double> inv_diag(n);
+  // A reference for the stencil (its diagonal band), a copy for CSR.
+  const std::vector<double>& diag = a.diagonal();
   for (std::size_t i = 0; i < n; ++i) {
     TPCOOL_ENSURE(diag[i] > 0.0,
                   "solve_cg: non-positive diagonal (matrix not SPD?)");
-    inv_diag[i] = 1.0 / diag[i];
   }
   const bool ssor = options.preconditioner == Preconditioner::kSsor;
+  std::vector<double> inv_diag;
+  if (!ssor) {
+    inv_diag.resize(n);
+    for (std::size_t i = 0; i < n; ++i) inv_diag[i] = 1.0 / diag[i];
+  }
   const auto precondition = [&](const std::vector<double>& r,
                                 std::vector<double>& z) {
     if (ssor) {
@@ -220,12 +250,9 @@ CgResult cg_impl(const Op& a, const std::vector<double>& b,
     TPCOOL_ENSURE(pap > 0.0,
                   "solve_cg: curvature non-positive (matrix not SPD?)");
     const double alpha = rz / pap;
-    foreach_element(n, [&](std::size_t i) {
-      x[i] += alpha * p[i];
-      r[i] -= alpha * ap[i];
-    });
+    const double rr = update_solution(alpha, p, ap, x, r);
     result.iterations = it;
-    result.residual = norm2(r) / bnorm;
+    result.residual = std::sqrt(rr) / bnorm;
     if (result.residual <= options.tolerance) return result;
     precondition(r, z);
     const double rz_new = dot(r, z);

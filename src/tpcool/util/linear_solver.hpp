@@ -77,7 +77,11 @@ class StencilOperator;
 enum class Preconditioner {
   kJacobi,  ///< Diagonal scaling; cheapest per iteration.
   kSsor,    ///< Symmetric SOR sweeps; ~3-5x fewer iterations on the
-            ///< thermal stencil at roughly twice the cost per iteration.
+            ///< thermal stencil. One application costs ~7-10 ns per
+            ///< cell against ~3-4 ns for the SpMV, and a whole SSOR-PCG
+            ///< iteration ~13-14 ns per cell (perf_microbench
+            ///< BM_SsorApply / BM_SpmvStencil / BM_CgIteration, 4-core
+            ///< 2 GHz x86-64).
 };
 
 /// Options controlling the iterative solver.
@@ -102,9 +106,11 @@ struct CgResult {
 CgResult solve_cg(const SparseMatrix& a, const std::vector<double>& b,
                   std::vector<double>& x, const CgOptions& options = {});
 
-/// solve_cg over the banded 7-point operator: matrix-free SpMV and vector
-/// kernels threaded through util::ThreadPool (deterministic for any thread
-/// count), serial below a size threshold.
+/// solve_cg over the banded 7-point operator. Systems of at most
+/// kVectorGrain cells run SpMV and every vector kernel as plain inline
+/// loops that never reach the thread pool; larger ones split them into
+/// fixed chunks on util::ThreadPool (deterministic for any thread count).
+/// The SSOR sweeps are single-threaded at every size.
 CgResult solve_cg(const StencilOperator& a, const std::vector<double>& b,
                   std::vector<double>& x, const CgOptions& options = {});
 

@@ -33,6 +33,13 @@
 
 namespace tpcool::util {
 
+/// Vector length at and below which the CG kernels (dot products, vector
+/// updates, StencilOperator::multiply) run as plain inline loops that never
+/// reach the pool; above it, the fixed chunk size of their pooled
+/// reductions. The thermal grid at the benches' 2 mm pitch (~3k cells) sits
+/// below it, the 0.75 mm figure pitch (~20k cells) above.
+inline constexpr std::size_t kVectorGrain = std::size_t{1} << 14;
+
 /// Fixed-size worker pool executing chunked index-range loops.
 ///
 /// The pool owns `thread_count() - 1` workers; the caller of

@@ -5,10 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <random>
 
 #include "tpcool/util/error.hpp"
 #include "tpcool/util/linear_solver.hpp"
+#include "tpcool/util/parallel_map.hpp"
 #include "tpcool/util/stencil_operator.hpp"
 #include "tpcool/util/thread_pool.hpp"
 
@@ -128,6 +131,85 @@ TEST(StencilOperator, CouplingAtGridEdgeThrows) {
                PreconditionError);
   EXPECT_THROW(op.add_coupling(0, StencilBand::kZPlus, 1.0),
                PreconditionError);
+}
+
+// ------------------------------------------------------ SSOR sweeps --
+
+/// The lexicographic SSOR loop StencilOperator::ssor_apply replaced, kept
+/// verbatim (bands read through the public accessors) as the bit-identity
+/// reference for the wavefront sweeps.
+void reference_ssor_apply(const StencilOperator& op,
+                          const std::vector<double>& r, std::vector<double>& z,
+                          double omega) {
+  const std::size_t nx_ = op.nx(), ny_ = op.ny();
+  const std::size_t n = op.size();
+  const std::size_t plane = nx_ * ny_;
+  const auto bands_ = [&](std::size_t band, std::size_t i) {
+    return op.offdiag(i, static_cast<StencilBand>(band));
+  };
+  z.resize(n);
+
+  // Forward sweep: (D + ωL) t = r.
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t ix = i % nx_;
+    double acc = r[i];
+    if (ix > 0) acc -= omega * bands_(0, i) * z[i - 1];
+    if (i >= nx_ && (i / nx_) % ny_ > 0) acc -= omega * bands_(2, i) * z[i - nx_];
+    if (i >= plane) acc -= omega * bands_(4, i) * z[i - plane];
+    z[i] = acc / op.diag(i);
+  }
+  // Scale by D: s = D t (in place).
+  for (std::size_t i = 0; i < n; ++i) z[i] *= op.diag(i);
+  // Backward sweep: (D + ωU) z = s.
+  for (std::size_t i = n; i-- > 0;) {
+    const std::size_t ix = i % nx_;
+    double acc = z[i];
+    if (ix + 1 < nx_) acc -= omega * bands_(1, i) * z[i + 1];
+    if ((i / nx_) % ny_ + 1 < ny_) acc -= omega * bands_(3, i) * z[i + nx_];
+    if (i + plane < n) acc -= omega * bands_(5, i) * z[i + plane];
+    z[i] = acc / op.diag(i);
+  }
+}
+
+TEST(StencilSsor, WavefrontSweepIsBitIdenticalToLexicographicLoop) {
+  struct Shape {
+    std::size_t nx, ny, nz;
+  };
+  // ny % 4 in {0, 1, 2, 3}, each axis of length 1, x-rows shorter than the
+  // wavefront, and a thermal-sized 60x61x6 grid.
+  const Shape shapes[] = {{7, 8, 3},  {7, 9, 3},  {7, 10, 3}, {7, 11, 3},
+                          {1, 9, 4},  {9, 1, 4},  {9, 6, 1},  {1, 1, 1},
+                          {2, 7, 2},  {3, 5, 2},  {1, 1, 5},  {60, 61, 6}};
+  unsigned seed = 101;
+  for (const Shape& shape : shapes) {
+    const StencilOperator op =
+        random_stencil(shape.nx, shape.ny, shape.nz, seed++);
+    const std::vector<double> r = random_vector(op.size(), seed++);
+    for (const double omega : {1.0, 1.7}) {
+      std::vector<double> expected, actual;
+      reference_ssor_apply(op, r, expected, omega);
+      op.ssor_apply(r, actual, omega);
+      ASSERT_EQ(actual.size(), expected.size());
+      EXPECT_EQ(std::memcmp(actual.data(), expected.data(),
+                            expected.size() * sizeof(double)),
+                0)
+          << shape.nx << "x" << shape.ny << "x" << shape.nz
+          << " omega=" << omega;
+    }
+  }
+}
+
+TEST(StencilSsor, RejectsZeroAndNanDiagonals) {
+  const std::vector<double> r = random_vector(5 * 6 * 2, 7);
+  std::vector<double> z;
+  StencilOperator zero = random_stencil(5, 6, 2, 3);
+  zero.add_to_diagonal(17, -zero.diag(17));
+  ASSERT_EQ(zero.diag(17), 0.0);
+  EXPECT_THROW(zero.ssor_apply(r, z, 1.5), InvariantError);
+
+  StencilOperator nan = random_stencil(5, 6, 2, 3);
+  nan.add_to_diagonal(59, std::numeric_limits<double>::quiet_NaN());
+  EXPECT_THROW(nan.ssor_apply(r, z, 1.5), InvariantError);
 }
 
 // --------------------------------------------------- CG on the stencil --
@@ -252,6 +334,82 @@ TEST(ThreadPool, CgResultsAreIdenticalForOneAndManyThreads) {
 
   EXPECT_EQ(r1.iterations, r4.iterations);
   EXPECT_EQ(x1, x4);  // bitwise
+}
+
+TEST(ThreadPool, NestedParallelForCoversRangeExactlyOnce) {
+  // A parallel_for issued from inside a chunk finds the pool busy and runs
+  // its chunks serially on that thread.
+  ThreadPool pool(4);
+  std::vector<int> hits(8 * 500, 0);
+  pool.parallel_for(0, 8, 1, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t outer = lo; outer < hi; ++outer) {
+      pool.parallel_for(
+          outer * 500, (outer + 1) * 500, 37,
+          [&](std::size_t a, std::size_t b) {
+            for (std::size_t i = a; i < b; ++i) ++hits[i];
+          });
+    }
+  });
+  for (const int h : hits) EXPECT_EQ(h, 1);
+}
+
+/// SSOR-PCG on `op` with the global pool at `threads` threads.
+CgResult solve_with_threads(std::size_t threads, const StencilOperator& op,
+                            const std::vector<double>& b,
+                            std::vector<double>& x) {
+  ThreadPool::set_global_thread_count(threads);
+  return solve_cg(op, b, x,
+                  {.tolerance = 1e-10, .preconditioner = Preconditioner::kSsor});
+}
+
+TEST(ThreadPool, CgAboveVectorGrainIsIdenticalForOneAndManyThreads) {
+  // 40x40x11 = 17,600 cells > kVectorGrain: the pooled SpMV and the
+  // chunked dot/update reductions run, and must not depend on the thread
+  // count.
+  const StencilOperator op = random_stencil(40, 40, 11, 59);
+  ASSERT_GT(op.size(), kVectorGrain);
+  const std::vector<double> b = random_vector(op.size(), 61);
+  std::vector<double> x1, x4;
+  const CgResult r1 = solve_with_threads(1, op, b, x1);
+  const CgResult r4 = solve_with_threads(4, op, b, x4);
+  ThreadPool::set_global_thread_count(0);  // restore default
+
+  EXPECT_EQ(r1.iterations, r4.iterations);
+  EXPECT_EQ(x1, x4);  // bitwise
+}
+
+TEST(ThreadPool, CgNestedInParallelMapMatchesTopLevelSolve) {
+  // Solves running inside util::parallel_map chunks (the experiment
+  // engines' shape) find the pool busy and run their pooled kernels
+  // serially; above and below the grain they must match a top-level
+  // single-thread solve bitwise.
+  for (const StencilOperator& op :
+       {random_stencil(40, 40, 11, 67), random_stencil(20, 20, 6, 71)}) {
+    const std::vector<double> b = random_vector(op.size(), 73);
+    std::vector<double> reference;
+    const CgResult top = solve_with_threads(1, op, b, reference);
+
+    ThreadPool::set_global_thread_count(4);
+    struct Solve {
+      CgResult stats;
+      std::vector<double> x;
+    };
+    const std::vector<Solve> nested = parallel_map<Solve>(
+        4, 1, [](std::size_t) { return 0; },
+        [&](int, std::size_t) {
+          Solve solve;
+          solve.stats = solve_cg(
+              op, b, solve.x,
+              {.tolerance = 1e-10, .preconditioner = Preconditioner::kSsor});
+          return solve;
+        });
+    ThreadPool::set_global_thread_count(0);  // restore default
+
+    for (const Solve& solve : nested) {
+      EXPECT_EQ(solve.stats.iterations, top.iterations);
+      EXPECT_EQ(solve.x, reference);  // bitwise
+    }
+  }
 }
 
 TEST(ThreadPool, EnvOverrideParsesPositiveIntegers) {
