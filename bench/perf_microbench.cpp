@@ -2,7 +2,8 @@
 /// \brief google-benchmark microbenchmarks for the numerical substrates:
 ///        steady-state thermal solves vs grid resolution, the CG kernels
 ///        (SpMV, SSOR sweep, one PCG iteration) in ns per cell,
-///        thermosyphon solves, and the full coupled server simulation.
+///        thermosyphon solves, top-boundary re-assembly, and the full
+///        coupled server simulation.
 
 #include <benchmark/benchmark.h>
 
@@ -57,16 +58,26 @@ void BM_ThermalTransientStep(benchmark::State& state) {
 }
 BENCHMARK(BM_ThermalTransientStep)->Unit(benchmark::kMillisecond);
 
-/// Thermosyphon loop + channel solve on a fixed heat map.
+/// Thermosyphon loop + channel solve (the coupling loop's boundary update)
+/// with 60 W spread over the die, at `state.range(0)` micrometre pitch.
 void BM_ThermosyphonSolve(benchmark::State& state) {
-  core::ServerModel server(config_with_cell(1.0e-3));
+  core::ServerModel server(
+      config_with_cell(1e-6 * static_cast<double>(state.range(0))));
   const thermal::StackModel& stack = server.stack();
   util::Grid2D<double> heat(stack.grid.nx, stack.grid.ny, 0.0);
-  for (std::size_t iy = 0; iy < stack.grid.ny; ++iy) {
-    for (std::size_t ix = 0; ix < stack.grid.nx; ++ix) {
-      const auto cell = stack.grid.cell_rect(ix, iy);
-      if (stack.die_region.contains(cell.center_x(), cell.center_y())) {
-        heat(ix, iy) = 0.2;
+  std::size_t die_cells = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t iy = 0; iy < stack.grid.ny; ++iy) {
+      for (std::size_t ix = 0; ix < stack.grid.nx; ++ix) {
+        const auto cell = stack.grid.cell_rect(ix, iy);
+        if (!stack.die_region.contains(cell.center_x(), cell.center_y())) {
+          continue;
+        }
+        if (pass == 0) {
+          ++die_cells;
+        } else {
+          heat(ix, iy) = 60.0 / static_cast<double>(die_cells);
+        }
       }
     }
   }
@@ -74,8 +85,10 @@ void BM_ThermosyphonSolve(benchmark::State& state) {
     benchmark::DoNotOptimize(
         server.thermosyphon_model().solve(heat, server.operating_point()));
   }
+  state.counters["cells"] = static_cast<double>(heat.size());
 }
-BENCHMARK(BM_ThermosyphonSolve)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ThermosyphonSolve)->Arg(4000)->Arg(2000)
+    ->Unit(benchmark::kMicrosecond);
 
 /// Full coupled server simulation (the unit of every experiment).
 void BM_CoupledServerSimulation(benchmark::State& state) {
@@ -224,6 +237,34 @@ void BM_CgIteration(benchmark::State& state) {
       time_per(cells * static_cast<double>(iterations));
 }
 BENCHMARK(BM_CgIteration)->Arg(2000)->Arg(750)->Unit(benchmark::kMillisecond);
+
+/// A new top boundary (alternating between two HTC maps) followed by the
+/// re-assembly the next solve triggers.  range(1) = 0 is the top-only path
+/// every coupling pass takes; 1 also resets the bottom boundary, which
+/// forces the full assembly of every band, for comparison.
+void BM_TopBoundaryReassemble(benchmark::State& state) {
+  thermal::ThermalModel model = thermal_model_at_pitch(state);
+  const bool full = state.range(1) != 0;
+  thermal::TopBoundary boundaries[2];
+  for (std::size_t k = 0; k < 2; ++k) {
+    boundaries[k].htc_w_m2k =
+        util::Grid2D<double>(model.nx(), model.ny(), 1.0e4 + 2.0e3 * k);
+    boundaries[k].fluid_temp_c =
+        util::Grid2D<double>(model.nx(), model.ny(), 40.0);
+  }
+  std::size_t k = 0;
+  for (auto _ : state) {
+    model.set_top_boundary(boundaries[k]);
+    if (full) model.set_bottom_boundary(10.0, 40.0);
+    benchmark::DoNotOptimize(&model.conductance_operator());
+    k ^= 1;
+  }
+  state.counters["cells"] = static_cast<double>(model.cell_count());
+  state.SetLabel(full ? "full" : "top-only");
+}
+BENCHMARK(BM_TopBoundaryReassemble)
+    ->Args({2000, 0})->Args({2000, 1})->Args({750, 0})->Args({750, 1})
+    ->Unit(benchmark::kMicrosecond);
 
 /// Scheduling decision only (profiling + selection + placement).
 void BM_ScheduleDecision(benchmark::State& state) {

@@ -264,7 +264,7 @@ int main(int argc, char** argv) {
     for (const TransientCase& scenario : scenarios) {
       std::uint64_t digest = 0;
       cases.push_back(run_case(scenario, threads, repeats, digest));
-      by_case[scenario.name] = cases.back();
+      by_case.emplace(scenario.name, cases.back());  // keeps the 1-thread row
       const auto [it, inserted] = digests.emplace(scenario.name, digest);
       if (!inserted && it->second != digest) {
         std::cerr << "DETERMINISM FAILURE: " << scenario.name << " at "
@@ -296,7 +296,8 @@ int main(int argc, char** argv) {
   std::cout << "}\n";
 
   // The headline comparison: accepted + rejected trials on the same
-  // smooth 600 s phase, adaptive vs the fixed 0.5 s baseline.
+  // smooth 600 s phase, adaptive vs the fixed 0.5 s baseline, and the wall
+  // time each took on one thread.
   const CaseResult& adaptive = by_case.at("smooth600_adaptive");
   const CaseResult& fixed = by_case.at("smooth600_fixed500ms");
   const std::uint64_t adaptive_trials = adaptive.steps + adaptive.rejected;
@@ -306,7 +307,9 @@ int main(int argc, char** argv) {
                    static_cast<double>(fixed.steps) /
                        static_cast<double>(adaptive_trials),
                    1)
-            << "x fewer)\n";
+            << "x fewer); wall " << util::TablePrinter::fmt(adaptive.best_ms, 1)
+            << " vs " << util::TablePrinter::fmt(fixed.best_ms, 1)
+            << " ms at t" << adaptive.threads << "\n";
   if (adaptive_trials >= fixed.steps) {
     std::cerr << "ADAPTIVE REGRESSION: the adaptive controller took as many "
                  "trials as the fixed baseline on a smooth phase\n";

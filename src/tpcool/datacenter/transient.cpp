@@ -31,8 +31,11 @@ constexpr std::size_t kSegmentGrain = 1;
 /// re-excites the package's fast surface mode at every commit, which puts
 /// a dt-independent floor under the step-doubling error estimate and
 /// locks the controller at millisecond steps.  Converging the boundary
-/// against the trial's end state breaks the cycle; iteration stops early
-/// once successive trial fields agree to a tenth of the step tolerance.
+/// against the trial's end state (the two committed half steps) breaks
+/// the cycle; iteration stops early once successive trial fields agree to
+/// a tenth of the step tolerance.  Converging it against the full step
+/// instead, and taking the half steps once afterwards, brings the cycle
+/// back.
 constexpr int kCouplingIterations = 8;
 
 /// Under-relaxation factor for the evaporator heat-map update inside the
@@ -135,6 +138,8 @@ core::SimulationResult integrate_segment(core::ApproachPipeline& pipeline,
   result.active_cores = task.job->decision.cores;
   core::TransientSegmentInfo& seg = result.transient;
   thermal::StepController controller(config.step_control);
+  std::size_t coupling_passes = 0;  // adaptive passes, 2 solves each
+  std::size_t linear_solves = 0;    // backward-Euler CG solves
 
   while (seg.sim_time_s < task.duration_s) {
     const double remaining_s = task.duration_s - seg.sim_time_s;
@@ -146,22 +151,27 @@ core::SimulationResult integrate_segment(core::ApproachPipeline& pipeline,
       set_boundary(evap_heat);
       dt_s = std::min(config.fixed_dt_s, remaining_s);
       thermal.step_transient(t, dt_s);
+      ++linear_solves;
       evap_heat = clamped_top_heat(t);
     } else {
-      // Adaptive: shrink the proposal until the embedded estimate passes.
-      // Each trial converges the boundary against its own end state (see
-      // kCouplingIterations) so the estimate measures the segment's real
-      // dynamics, not boundary-lag noise.
+      // Adaptive: shrink the proposal until the step-doubling estimate
+      // passes.  Each trial converges the boundary against its own end
+      // state, the two committed half steps (see kCouplingIterations), so
+      // the estimate measures the segment's real dynamics, not
+      // boundary-lag noise.
       while (true) {
         dt_s = controller.propose(remaining_s);
+        const double half_dt_s = 0.5 * dt_s;
         std::vector<double> trial;
         std::vector<double> prev_trial;
         util::Grid2D<double> trial_heat = evap_heat;
-        double error_c = 0.0;
         for (int k = 0; k < kCouplingIterations; ++k) {
           set_boundary(trial_heat);
           trial = t;
-          error_c = thermal.step_transient_embedded(trial, dt_s);
+          thermal.step_transient(trial, half_dt_s);
+          thermal.step_transient(trial, half_dt_s);
+          ++coupling_passes;
+          linear_solves += 2;
           const util::Grid2D<double> next_heat = clamped_top_heat(trial);
           for (std::size_t i = 0; i < trial_heat.data().size(); ++i) {
             trial_heat.data()[i] += kCouplingRelaxation *
@@ -175,6 +185,15 @@ core::SimulationResult integrate_segment(core::ApproachPipeline& pipeline,
           }
           prev_trial = trial;
         }
+        // The full step of the step doubling, once per trial, under the
+        // boundary the last pass set (the relaxed heat map is not applied):
+        // a step depends on nothing but its operands, so this is the full
+        // step that pass would have taken.  Backward Euler is first order,
+        // so the estimate scales as dt².
+        std::vector<double> full = t;
+        thermal.step_transient(full, dt_s);
+        ++linear_solves;
+        const double error_c = max_abs_diff(full, trial);
         if (controller.evaluate(dt_s, error_c)) {
           t = std::move(trial);
           evap_heat = std::move(trial_heat);
@@ -204,6 +223,13 @@ core::SimulationResult integrate_segment(core::ApproachPipeline& pipeline,
   span.arg("duration_s", task.duration_s);
   span.arg("steps", static_cast<double>(seg.steps));
   span.arg("rejected_steps", static_cast<double>(seg.rejected_steps));
+  span.arg("coupling_passes", static_cast<double>(coupling_passes));
+  span.arg("linear_solves", static_cast<double>(linear_solves));
+  if (util::telemetry_enabled()) {
+    static util::TelemetryCounter& passes =
+        util::Telemetry::instance().counter("transient.coupling_passes");
+    passes.add(static_cast<double>(coupling_passes));
+  }
   return result;
 }
 

@@ -6,6 +6,17 @@
 
 namespace tpcool::thermal {
 
+namespace {
+
+// Series conductance of two half-cells meeting at an interface (harmonic
+// mean, the standard finite-volume interface treatment).
+double series(double g1, double g2) {
+  TPCOOL_ENSURE(g1 > 0.0 && g2 > 0.0, "non-positive conductance");
+  return 1.0 / (1.0 / g1 + 1.0 / g2);
+}
+
+}  // namespace
+
 ThermalModel::ThermalModel(StackModel stack) : stack_(std::move(stack)) {
   TPCOOL_REQUIRE(stack_.layer_count() >= 2, "stack needs at least two layers");
   for (const StackLayer& layer : stack_.layers) {
@@ -38,7 +49,7 @@ void ThermalModel::set_top_boundary(TopBoundary boundary) {
     TPCOOL_REQUIRE(h >= 0.0, "negative HTC");
   }
   top_ = std::move(boundary);
-  dirty_ = true;
+  top_dirty_ = true;
 }
 
 void ThermalModel::set_top_boundary_uniform(double htc_w_m2k,
@@ -62,7 +73,15 @@ const util::StencilOperator& ThermalModel::conductance_operator() const {
 }
 
 void ThermalModel::assemble() const {
-  if (!dirty_) return;
+  if (!dirty_) {
+    if (top_dirty_) {
+      // Only the top boundary changed: the bands, and with them the cached
+      // step operator, stay valid.
+      apply_top_boundary();
+      top_dirty_ = false;
+    }
+    return;
+  }
   const std::size_t n = cell_count();
   util::StencilOperator m(nx(), ny(), nz());
   boundary_rhs_.assign(n, 0.0);
@@ -76,13 +95,6 @@ void ThermalModel::assemble() const {
   };
   const auto dz_of = [&](std::size_t iz) {
     return stack_.layers[iz].thickness_m;
-  };
-
-  // Series conductance of two half-cells meeting at an interface
-  // (harmonic mean, the standard finite-volume interface treatment).
-  const auto series = [](double g1, double g2) {
-    TPCOOL_ENSURE(g1 > 0.0 && g2 > 0.0, "non-positive conductance");
-    return 1.0 / (1.0 / g1 + 1.0 / g2);
   };
 
   for (std::size_t iz = 0; iz < nz(); ++iz) {
@@ -109,15 +121,7 @@ void ThermalModel::assemble() const {
                      k_of(ix, iy, iz + 1) * cell_area / (0.5 * dz_of(iz + 1)));
           m.add_coupling(self, util::StencilBand::kZPlus, g);
         }
-        if (iz + 1 == nz()) {  // top convective boundary
-          const double h = top_.htc_w_m2k(ix, iy);
-          if (h > 0.0) {
-            const double g = series(k_of(ix, iy, iz) * cell_area / (0.5 * dz),
-                                    h * cell_area);
-            m.add_to_diagonal(self, g);
-            boundary_rhs_[self] += g * top_.fluid_temp_c(ix, iy);
-          }
-        }
+        // The top convective boundary is added by apply_top_boundary().
         if (iz == 0 && bottom_htc_w_m2k_ > 0.0) {  // bottom boundary
           const double g = series(k_of(ix, iy, iz) * cell_area / (0.5 * dz),
                                   bottom_htc_w_m2k_ * cell_area);
@@ -127,9 +131,42 @@ void ThermalModel::assemble() const {
       }
     }
   }
+  // No band term reaches a top-layer diagonal after that cell's own x+/y+
+  // couplings (its x-/y-/z- ones come from earlier cells), so adding the
+  // boundary term after the loop sums every entry in the same order as
+  // adding it in place would.
+  const std::size_t top_offset = cell_index(0, 0, nz() - 1);
+  top_base_diag_.assign(m.diagonal().begin() + top_offset,
+                        m.diagonal().end());
   operator_ = std::move(m);
+  apply_top_boundary();
   step_operator_valid_ = false;
   dirty_ = false;
+  top_dirty_ = false;
+}
+
+void ThermalModel::apply_top_boundary() const {
+  const std::size_t iz = nz() - 1;
+  const double dz = stack_.layers[iz].thickness_m;
+  const double cell_area = stack_.grid.dx * stack_.grid.dy;
+  for (std::size_t iy = 0; iy < ny(); ++iy) {
+    for (std::size_t ix = 0; ix < nx(); ++ix) {
+      const std::size_t self = cell_index(ix, iy, iz);
+      double diag = top_base_diag_[iy * nx() + ix];
+      double rhs = 0.0;
+      const double h = top_.htc_w_m2k(ix, iy);
+      if (h > 0.0) {
+        const double g = series(
+            stack_.layers[iz].conductivity_w_mk(ix, iy) * cell_area /
+                (0.5 * dz),
+            h * cell_area);
+        diag += g;
+        rhs += g * top_.fluid_temp_c(ix, iy);
+      }
+      operator_.set_diagonal_entry(self, diag);
+      boundary_rhs_[self] = rhs;
+    }
+  }
 }
 
 util::Grid2D<double> ThermalModel::layer_field(const std::vector<double>& t,

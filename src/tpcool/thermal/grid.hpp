@@ -47,13 +47,16 @@ class ThermalModel {
   /// Set the heat sources [W per cell] on the die layer.
   void set_power_map(const util::Grid2D<double>& watts);
 
-  /// Convective top boundary (thermosyphon evaporator side).
+  /// Convective top boundary (thermosyphon evaporator side).  Only the
+  /// top-layer diagonal and boundary RHS depend on it, so the next solve
+  /// re-assembles just those entries (bit-identical to a full assembly).
   void set_top_boundary(TopBoundary boundary);
 
   /// Uniform convective top boundary helper.
   void set_top_boundary_uniform(double htc_w_m2k, double fluid_temp_c);
 
-  /// Weak convection from the substrate bottom to board ambient.
+  /// Weak convection from the substrate bottom to board ambient (a full
+  /// re-assembly on the next solve).
   void set_bottom_boundary(double htc_w_m2k, double ambient_c);
 
   /// Solve steady state G·T = P; returns the temperature of every cell [°C].
@@ -72,18 +75,10 @@ class ThermalModel {
   }
 
   /// Advance one backward-Euler step of length `dt_s` from state `t`
-  /// (modified in place).
+  /// (modified in place).  The result depends only on `t`, `dt_s` and the
+  /// current boundary and power state, never on earlier calls, so a step
+  /// doubling may take its full and half steps in either order.
   void step_transient(std::vector<double>& t, double dt_s) const;
-
-  /// Advance one embedded backward-Euler step of length `dt_s`: the state
-  /// is committed from a two-half-step pass and the return value is the
-  /// max-norm difference to a single full step [°C] — the local
-  /// step-doubling error estimate an adaptive step chooser controls on
-  /// (backward Euler is first order, so the estimate scales as dt²).
-  /// Costs three linear solves per call; callers wanting rejection
-  /// semantics copy `t` before calling.
-  [[nodiscard]] double step_transient_embedded(std::vector<double>& t,
-                                               double dt_s) const;
 
   /// Extract one layer of a solution as a 2D field [°C].
   [[nodiscard]] util::Grid2D<double> layer_field(const std::vector<double>& t,
@@ -103,6 +98,9 @@ class ThermalModel {
 
  private:
   void assemble() const;  // lazy; depends on boundary state
+  /// Rewrite the top-layer diagonal (from the cached pre-boundary values)
+  /// and boundary RHS from `top_`.
+  void apply_top_boundary() const;
 
   StackModel stack_;
   util::Grid2D<double> power_w_;
@@ -113,9 +111,14 @@ class ThermalModel {
   // Lazily assembled operator; mutable because assembly is a cache. The
   // 7-point conductance operator is stored banded (StencilOperator), not
   // CSR: matrix-free SpMV plus SSOR sweeps over the bands.
-  mutable bool dirty_ = true;
+  mutable bool dirty_ = true;       // everything needs assembly
+  mutable bool top_dirty_ = false;  // only the top boundary changed
   mutable util::StencilOperator operator_{1, 1, 1};
   mutable std::vector<double> boundary_rhs_;  // G_b·T_fluid terms
+  // Top-layer diagonal before the top-boundary term (nx·ny, row-major):
+  // that term is the last addition to those entries in a full assembly,
+  // so adding it to these values reproduces the full assembly exactly.
+  mutable std::vector<double> top_base_diag_;
   mutable util::CgResult last_stats_;
   // Transient step operator (G + C/dt): bands cached from operator_, only
   // the diagonal is re-shifted per step.

@@ -2,8 +2,8 @@
 /// \file step_control.hpp
 /// \brief Adaptive time-step control for the transient thermal path: an
 ///        error-estimate chooser (PI-free dead-beat controller on the
-///        step-doubling estimate from
-///        ThermalModel::step_transient_embedded) composed with a
+///        step-doubling estimate: one full ThermalModel::step_transient
+///        against two committed half steps) composed with a
 ///        step-to-boundary chooser that clamps proposals so phase and
 ///        interval edges are hit exactly — never overshot, never left as
 ///        near-zero slivers.  Modeled on the StepChoosers of large

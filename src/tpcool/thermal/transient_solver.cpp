@@ -1,6 +1,3 @@
-#include <algorithm>
-#include <cmath>
-
 #include "tpcool/thermal/grid.hpp"
 #include "tpcool/util/error.hpp"
 #include "tpcool/util/telemetry.hpp"
@@ -51,26 +48,6 @@ void ThermalModel::step_transient(std::vector<double>& t, double dt_s) const {
       {.tolerance = 1e-9,
        .max_iterations = 20000,
        .preconditioner = util::Preconditioner::kSsor});
-}
-
-double ThermalModel::step_transient_embedded(std::vector<double>& t,
-                                             double dt_s) const {
-  TPCOOL_REQUIRE(dt_s > 0.0, "time step must be positive");
-  // Step doubling: one full step against two half steps from the same
-  // state.  The half-step solution is committed (it is the more accurate
-  // one); the max-norm difference is the local error estimate.  Both
-  // passes reuse the shared PCG path, so the result is bit-identical for
-  // any thread count like every other solve.
-  std::vector<double> full = t;
-  step_transient(full, dt_s);
-  const double half_dt_s = 0.5 * dt_s;
-  step_transient(t, half_dt_s);
-  step_transient(t, half_dt_s);
-  double error_c = 0.0;
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    error_c = std::max(error_c, std::abs(full[i] - t[i]));
-  }
-  return error_c;
 }
 
 }  // namespace tpcool::thermal

@@ -8,15 +8,30 @@
 
 namespace tpcool::thermosyphon {
 
-double cooper_htc(double reduced_pressure, double molar_mass_g_mol,
-                  double heat_flux_w_m2) {
+namespace {
+
+/// Cooper's correlation without its flux factor.  The full product is
+/// evaluated left to right, so prefactor · q^0.67 is the same double.
+double cooper_prefactor(double reduced_pressure, double molar_mass_g_mol) {
   TPCOOL_REQUIRE(reduced_pressure > 0.0 && reduced_pressure < 1.0,
                  "reduced pressure outside (0, 1)");
   TPCOOL_REQUIRE(molar_mass_g_mol > 0.0, "molar mass must be positive");
-  const double q = std::max(heat_flux_w_m2, 1.0e3);
   return 55.0 * std::pow(reduced_pressure, 0.12) *
          std::pow(-std::log10(reduced_pressure), -0.55) *
-         std::pow(molar_mass_g_mol, -0.5) * std::pow(q, 0.67);
+         std::pow(molar_mass_g_mol, -0.5);
+}
+
+double cooper_flux_factor(double heat_flux_w_m2) {
+  const double q = std::max(heat_flux_w_m2, 1.0e3);
+  return std::pow(q, 0.67);
+}
+
+}  // namespace
+
+double cooper_htc(double reduced_pressure, double molar_mass_g_mol,
+                  double heat_flux_w_m2) {
+  return cooper_prefactor(reduced_pressure, molar_mass_g_mol) *
+         cooper_flux_factor(heat_flux_w_m2);
 }
 
 double convective_enhancement(double quality) {
@@ -63,13 +78,29 @@ double local_htc(const materials::Refrigerant& fluid, double t_sat_c,
                  double quality, double heat_flux_w_m2,
                  double mass_flux_kg_m2s, double filling_ratio,
                  double hydraulic_diameter_m) {
-  const double q = util::clamp(quality, 0.0, 1.0);
-  const double h_nucleate = cooper_htc(fluid.reduced_pressure(t_sat_c),
-                                       fluid.molar_mass_g_mol(),
-                                       heat_flux_w_m2);
-  const double h_liquid =
-      single_phase_liquid_htc(fluid, t_sat_c, hydraulic_diameter_m);
+  const SaturationTerms saturation =
+      saturation_terms(fluid, t_sat_c, hydraulic_diameter_m);
   const double x_dry = dryout_quality(filling_ratio, mass_flux_kg_m2s);
+  return local_htc(saturation, quality, heat_flux_w_m2, x_dry);
+}
+
+SaturationTerms saturation_terms(const materials::Refrigerant& fluid,
+                                 double t_sat_c,
+                                 double hydraulic_diameter_m) {
+  SaturationTerms terms;
+  terms.cooper_prefactor = cooper_prefactor(fluid.reduced_pressure(t_sat_c),
+                                            fluid.molar_mass_g_mol());
+  terms.liquid_htc_w_m2k =
+      single_phase_liquid_htc(fluid, t_sat_c, hydraulic_diameter_m);
+  return terms;
+}
+
+double local_htc(const SaturationTerms& saturation, double quality,
+                 double heat_flux_w_m2, double x_dry) {
+  const double q = util::clamp(quality, 0.0, 1.0);
+  const double h_nucleate =
+      saturation.cooper_prefactor * cooper_flux_factor(heat_flux_w_m2);
+  const double h_liquid = saturation.liquid_htc_w_m2k;
   if (q < 1e-6) {
     // Subcooled/incipient region: nucleate term blended with liquid floor.
     return std::max(h_nucleate, h_liquid);

@@ -59,4 +59,26 @@ inline constexpr double kVaporHtcW_m2K = 4000.0;
                                double filling_ratio,
                                double hydraulic_diameter_m);
 
+/// The terms of local_htc that depend only on the saturation temperature
+/// (and the fixed fluid and channel section), evaluated once per
+/// saturation state instead of once per channel segment.
+struct SaturationTerms {
+  /// Cooper's flux-independent factor 55 · p_r^0.12 · (−log10 p_r)^−0.55
+  /// · M^−0.5, multiplied in that order, as cooper_htc does.
+  double cooper_prefactor = 0.0;
+  double liquid_htc_w_m2k = 0.0;  ///< single_phase_liquid_htc at t_sat.
+};
+
+/// Evaluate the saturation terms, running the same checks as cooper_htc
+/// and single_phase_liquid_htc.
+[[nodiscard]] SaturationTerms saturation_terms(
+    const materials::Refrigerant& fluid, double t_sat_c,
+    double hydraulic_diameter_m);
+
+/// local_htc from precomputed saturation terms and dry-out quality:
+/// bit-identical to the fluid-level overload at the same state.
+[[nodiscard]] double local_htc(const SaturationTerms& saturation,
+                               double quality, double heat_flux_w_m2,
+                               double dryout_quality);
+
 }  // namespace tpcool::thermosyphon

@@ -8,9 +8,11 @@
 
 namespace tpcool::thermosyphon {
 
-ChannelProfile march_channel(const ChannelConditions& conditions,
-                             const EvaporatorGeometry& geometry,
-                             const std::vector<double>& heat_per_segment_w) {
+namespace {
+
+void require_valid(const ChannelConditions& conditions,
+                   const EvaporatorGeometry& geometry,
+                   const std::vector<double>& heat_per_segment_w) {
   TPCOOL_REQUIRE(conditions.fluid != nullptr, "channel needs a refrigerant");
   TPCOOL_REQUIRE(conditions.mass_flow_kg_s > 0.0,
                  "channel mass flow must be positive");
@@ -19,7 +21,12 @@ ChannelProfile march_channel(const ChannelConditions& conditions,
                  "inlet quality outside [0, 1)");
   TPCOOL_REQUIRE(!heat_per_segment_w.empty(), "channel needs segments");
   geometry.validate();
+}
 
+ChannelProfile march(const ChannelConditions& conditions,
+                     const EvaporatorGeometry& geometry,
+                     const std::vector<double>& heat_per_segment_w,
+                     const SaturationTerms& saturation) {
   const materials::Refrigerant& fluid = *conditions.fluid;
   const double h_fg = fluid.latent_heat_j_kg(conditions.t_sat_c);
   const double seg_len =
@@ -43,15 +50,32 @@ ChannelProfile march_channel(const ChannelConditions& conditions,
     const double x_mid = util::clamp(x + 0.5 * dx, 0.0, 1.0);
     const double flux = q_w / seg_base_area;
     profile.quality.push_back(x_mid);
-    profile.htc_w_m2k.push_back(local_htc(
-        fluid, conditions.t_sat_c, x_mid, flux, mass_flux,
-        conditions.filling_ratio, geometry.hydraulic_diameter_m()));
+    profile.htc_w_m2k.push_back(local_htc(saturation, x_mid, flux, x_dry));
     if (x_mid > x_dry) profile.dried_out = true;
     x = util::clamp(x + dx, 0.0, 1.0);
     profile.absorbed_w += q_w;
   }
   profile.exit_quality = x;
   return profile;
+}
+
+}  // namespace
+
+ChannelProfile march_channel(const ChannelConditions& conditions,
+                             const EvaporatorGeometry& geometry,
+                             const std::vector<double>& heat_per_segment_w) {
+  require_valid(conditions, geometry, heat_per_segment_w);
+  return march(conditions, geometry, heat_per_segment_w,
+               saturation_terms(*conditions.fluid, conditions.t_sat_c,
+                                geometry.hydraulic_diameter_m()));
+}
+
+ChannelProfile march_channel(const ChannelConditions& conditions,
+                             const EvaporatorGeometry& geometry,
+                             const std::vector<double>& heat_per_segment_w,
+                             const SaturationTerms& saturation) {
+  require_valid(conditions, geometry, heat_per_segment_w);
+  return march(conditions, geometry, heat_per_segment_w, saturation);
 }
 
 }  // namespace tpcool::thermosyphon

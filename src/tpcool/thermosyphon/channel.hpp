@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "tpcool/materials/refrigerant.hpp"
+#include "tpcool/thermosyphon/boiling.hpp"
 #include "tpcool/thermosyphon/geometry.hpp"
 
 namespace tpcool::thermosyphon {
@@ -36,5 +37,14 @@ struct ChannelConditions {
 [[nodiscard]] ChannelProfile march_channel(
     const ChannelConditions& conditions, const EvaporatorGeometry& geometry,
     const std::vector<double>& heat_per_segment_w);
+
+/// The same march with the saturation terms precomputed (by
+/// saturation_terms at the conditions' fluid, t_sat and the geometry's
+/// hydraulic diameter), so channels sharing a saturation state share one
+/// evaluation.  Bit-identical to the overload above.
+[[nodiscard]] ChannelProfile march_channel(
+    const ChannelConditions& conditions, const EvaporatorGeometry& geometry,
+    const std::vector<double>& heat_per_segment_w,
+    const SaturationTerms& saturation);
 
 }  // namespace tpcool::thermosyphon

@@ -9,24 +9,36 @@
 namespace tpcool::thermosyphon {
 
 namespace {
-constexpr double kGravity = 9.80665;  // m/s²
-}
 
-double void_fraction(const materials::Refrigerant& fluid, double t_sat_c,
-                     double quality) {
+constexpr double kGravity = 9.80665;  // m/s²
+
+// The saturated densities as operands, so solve_loop's bisection
+// evaluates them once per solve rather than once per step.
+double void_fraction(double rho_l, double rho_v, double quality) {
   const double x = util::clamp(quality, 0.0, 1.0);
   if (x <= 0.0) return 0.0;
   if (x >= 1.0) return 1.0;
-  const double rho_ratio = fluid.vapor_density_kg_m3(t_sat_c) /
-                           fluid.liquid_density_kg_m3(t_sat_c);
+  const double rho_ratio = rho_v / rho_l;
   return 1.0 / (1.0 + ((1.0 - x) / x) * rho_ratio);
+}
+
+double riser_density(double rho_l, double rho_v, double quality) {
+  const double alpha = void_fraction(rho_l, rho_v, quality);
+  return alpha * rho_v + (1.0 - alpha) * rho_l;
+}
+
+}  // namespace
+
+double void_fraction(const materials::Refrigerant& fluid, double t_sat_c,
+                     double quality) {
+  return void_fraction(fluid.liquid_density_kg_m3(t_sat_c),
+                       fluid.vapor_density_kg_m3(t_sat_c), quality);
 }
 
 double riser_density_kg_m3(const materials::Refrigerant& fluid,
                            double t_sat_c, double quality) {
-  const double alpha = void_fraction(fluid, t_sat_c, quality);
-  return alpha * fluid.vapor_density_kg_m3(t_sat_c) +
-         (1.0 - alpha) * fluid.liquid_density_kg_m3(t_sat_c);
+  return riser_density(fluid.liquid_density_kg_m3(t_sat_c),
+                       fluid.vapor_density_kg_m3(t_sat_c), quality);
 }
 
 LoopState solve_loop(const materials::Refrigerant& fluid, double t_sat_c,
@@ -57,7 +69,7 @@ LoopState solve_loop(const materials::Refrigerant& fluid, double t_sat_c,
   const auto imbalance = [&](double m_dot) {
     const double x = exit_quality(m_dot);
     const double drive = kGravity * design.riser_height_m *
-                         (rho_l - riser_density_kg_m3(fluid, t_sat_c, x)) *
+                         (rho_l - riser_density(rho_l, rho_v, x)) *
                          fill_factor;
     const double phi_tp = 1.0 + 0.25 * x * (rho_l / rho_v - 1.0);
     const double friction =
@@ -79,7 +91,7 @@ LoopState solve_loop(const materials::Refrigerant& fluid, double t_sat_c,
   state.exit_quality = exit_quality(m_dot);
   const double x = state.exit_quality;
   state.driving_pa = kGravity * design.riser_height_m *
-                     (rho_l - riser_density_kg_m3(fluid, t_sat_c, x)) *
+                     (rho_l - riser_density(rho_l, rho_v, x)) *
                      fill_factor;
   state.friction_pa = design.friction_coeff * m_dot * m_dot / rho_l *
                       (1.0 + 0.25 * x * (rho_l / rho_v - 1.0));

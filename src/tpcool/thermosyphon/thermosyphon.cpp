@@ -32,37 +32,58 @@ Thermosyphon::Thermosyphon(ThermosyphonDesign design, floorplan::GridSpec grid,
   const double pitch = east_west ? grid_.dx : grid_.dy;
   n_segments_ = static_cast<std::size_t>(std::ceil(along / pitch));
   TPCOOL_ENSURE(n_segments_ >= 2, "footprint spans too few grid cells");
+
+  column_routes_.resize(grid_.nx);
+  for (std::size_t ix = 0; ix < grid_.nx; ++ix) {
+    column_routes_[ix] = column_index(ix);
+  }
+  row_routes_.resize(grid_.ny);
+  for (std::size_t iy = 0; iy < grid_.ny; ++iy) row_routes_[iy] = row_index(iy);
 }
 
 std::optional<Thermosyphon::CellRoute> Thermosyphon::route(
     std::size_t ix, std::size_t iy) const {
-  const floorplan::Rect cell = grid_.cell_rect(ix, iy);
-  const double cx = cell.center_x();
-  const double cy = cell.center_y();
-  if (!footprint_.contains(cx, cy)) return std::nullopt;
-
-  const bool east_west =
-      design_.evaporator.orientation == Orientation::kEastWest;
-  const double pitch = design_.evaporator.pitch_m();
-
-  // Transverse coordinate picks the channel; clamp the fringe cells beyond
-  // the last full pitch into the last channel.
-  const double transverse = east_west ? cy - footprint_.y0 : cx - footprint_.x0;
-  auto channel = static_cast<std::size_t>(transverse / pitch);
-  if (channel >= n_channels_) channel = n_channels_ - 1;
-
-  // Along-flow coordinate picks the segment. Design 1 flows eastward (inlet
-  // on the west); design 2 flows southward (inlet on the north).
-  double along_frac;
-  if (east_west) {
-    along_frac = (cx - footprint_.x0) / footprint_.width();
-  } else {
-    along_frac = (footprint_.y1 - cy) / footprint_.height();
+  const std::optional<std::size_t>& column = column_routes_[ix];
+  const std::optional<std::size_t>& row = row_routes_[iy];
+  if (!column || !row) return std::nullopt;
+  if (design_.evaporator.orientation == Orientation::kEastWest) {
+    return CellRoute{*row, *column};
   }
+  return CellRoute{*column, *row};
+}
+
+// The transverse coordinate picks the channel, clamping the fringe cells
+// beyond the last full pitch into the last channel; the along-flow
+// coordinate picks the segment.  Design 1 flows eastward (inlet on the
+// west); design 2 flows southward (inlet on the north).
+std::optional<std::size_t> Thermosyphon::column_index(std::size_t ix) const {
+  const double cx = grid_.cell_rect(ix, 0).center_x();
+  if (!(cx >= footprint_.x0 && cx < footprint_.x1)) return std::nullopt;
+  if (design_.evaporator.orientation == Orientation::kEastWest) {
+    return segment_index((cx - footprint_.x0) / footprint_.width());
+  }
+  return channel_index(cx - footprint_.x0);
+}
+
+std::optional<std::size_t> Thermosyphon::row_index(std::size_t iy) const {
+  const double cy = grid_.cell_rect(0, iy).center_y();
+  if (!(cy >= footprint_.y0 && cy < footprint_.y1)) return std::nullopt;
+  if (design_.evaporator.orientation == Orientation::kEastWest) {
+    return channel_index(cy - footprint_.y0);
+  }
+  return segment_index((footprint_.y1 - cy) / footprint_.height());
+}
+
+std::size_t Thermosyphon::channel_index(double transverse_m) const {
+  auto channel =
+      static_cast<std::size_t>(transverse_m / design_.evaporator.pitch_m());
+  return channel >= n_channels_ ? n_channels_ - 1 : channel;
+}
+
+std::size_t Thermosyphon::segment_index(double along_frac) const {
   auto segment = static_cast<std::size_t>(
       along_frac * static_cast<double>(n_segments_));
-  if (segment >= n_segments_) segment = n_segments_ - 1;
-  return CellRoute{channel, segment};
+  return segment >= n_segments_ ? n_segments_ - 1 : segment;
 }
 
 ThermosyphonState Thermosyphon::solve(const util::Grid2D<double>& heat_w,
@@ -117,9 +138,11 @@ ThermosyphonState Thermosyphon::solve(const util::Grid2D<double>& heat_w,
 
   // 4. March every channel with an equal share of the loop flow (parallel
   //    channels fed from a common header).
+  //    The saturation terms are shared by every channel segment.
   state.channels.resize(n_channels_);
   std::vector<ChannelProfile> profiles(n_channels_);
-  if (q_total > 1e-9 && loop.mass_flow_kg_s > 0.0) {
+  const bool boiling = q_total > 1e-9 && loop.mass_flow_kg_s > 0.0;
+  if (boiling) {
     const double m_ch =
         loop.mass_flow_kg_s / static_cast<double>(n_channels_);
     ChannelConditions cond;
@@ -127,9 +150,12 @@ ThermosyphonState Thermosyphon::solve(const util::Grid2D<double>& heat_w,
     cond.t_sat_c = state.t_sat_c;
     cond.mass_flow_kg_s = m_ch;
     cond.filling_ratio = design_.filling_ratio;
+    const SaturationTerms saturation =
+        saturation_terms(*design_.refrigerant, state.t_sat_c,
+                         design_.evaporator.hydraulic_diameter_m());
     for (std::size_t ch = 0; ch < n_channels_; ++ch) {
-      profiles[ch] =
-          march_channel(cond, design_.evaporator, channel_heat[ch]);
+      profiles[ch] = march_channel(cond, design_.evaporator,
+                                   channel_heat[ch], saturation);
       state.channels[ch].exit_quality = profiles[ch].exit_quality;
       state.channels[ch].absorbed_w = profiles[ch].absorbed_w;
       state.channels[ch].dried_out = profiles[ch].dried_out;
@@ -137,20 +163,20 @@ ThermosyphonState Thermosyphon::solve(const util::Grid2D<double>& heat_w,
     }
   }
 
-  // 5. Paint the HTC and fluid-temperature maps.
+  // 5. Paint the HTC and fluid-temperature maps.  An idle loop is a
+  //    stagnant liquid pool: one convection HTC everywhere.
+  const double idle_htc =
+      boiling ? 0.0
+              : single_phase_liquid_htc(
+                    *design_.refrigerant, state.t_sat_c,
+                    design_.evaporator.hydraulic_diameter_m());
   for (std::size_t iy = 0; iy < grid_.ny; ++iy) {
     for (std::size_t ix = 0; ix < grid_.nx; ++ix) {
       const auto r = route(ix, iy);
       if (!r.has_value()) continue;
       state.fluid_temp_map(ix, iy) = state.t_sat_c;
-      if (q_total > 1e-9 && loop.mass_flow_kg_s > 0.0) {
-        state.htc_map(ix, iy) = profiles[r->channel].htc_w_m2k[r->segment];
-      } else {
-        // Idle loop: stagnant liquid pool convection.
-        state.htc_map(ix, iy) = single_phase_liquid_htc(
-            *design_.refrigerant, state.t_sat_c,
-            design_.evaporator.hydraulic_diameter_m());
-      }
+      state.htc_map(ix, iy) =
+          boiling ? profiles[r->channel].htc_w_m2k[r->segment] : idle_htc;
     }
   }
   return state;

@@ -5,6 +5,7 @@
 ///        state and the per-cell heat-transfer coefficient map that the
 ///        thermal solver uses as its top boundary condition.
 
+#include <optional>
 #include <vector>
 
 #include "tpcool/floorplan/power_map.hpp"
@@ -69,26 +70,45 @@ class Thermosyphon {
   [[nodiscard]] const floorplan::Rect& footprint() const noexcept {
     return footprint_;
   }
+  /// Along-flow segments per channel (one per grid pitch).
+  [[nodiscard]] std::size_t segment_count() const noexcept {
+    return n_segments_;
+  }
 
   /// Solve the loop for `heat_w` (W per grid cell entering the evaporator;
   /// cells outside the footprint must carry no heat).
   [[nodiscard]] ThermosyphonState solve(const util::Grid2D<double>& heat_w,
                                         const OperatingPoint& op) const;
 
- private:
+  /// The channel and along-flow segment a grid cell feeds.
   struct CellRoute {
     std::size_t channel;
     std::size_t segment;
+    bool operator==(const CellRoute&) const = default;
   };
-  /// Channel/segment of a cell, or nullopt when outside the footprint.
+  /// Channel/segment of cell (ix < nx, iy < ny), or nullopt when its centre
+  /// lies outside the footprint.  Routing is separable — a cell's column
+  /// decides the x half of the footprint test and one of its two indices,
+  /// its row the rest — so this reads two tables built at construction.
   [[nodiscard]] std::optional<CellRoute> route(std::size_t ix,
                                                std::size_t iy) const;
+
+ private:
+  /// The column and row halves of a route: nullopt when the cell centre
+  /// lies outside the footprint on that axis, else the channel or segment
+  /// index the axis picks.
+  [[nodiscard]] std::optional<std::size_t> column_index(std::size_t ix) const;
+  [[nodiscard]] std::optional<std::size_t> row_index(std::size_t iy) const;
+  [[nodiscard]] std::size_t channel_index(double transverse_m) const;
+  [[nodiscard]] std::size_t segment_index(double along_frac) const;
 
   ThermosyphonDesign design_;
   floorplan::GridSpec grid_;
   floorplan::Rect footprint_;
   std::size_t n_channels_;
   std::size_t n_segments_;
+  std::vector<std::optional<std::size_t>> column_routes_;  ///< Per ix.
+  std::vector<std::optional<std::size_t>> row_routes_;     ///< Per iy.
 };
 
 }  // namespace tpcool::thermosyphon

@@ -146,6 +146,11 @@ void StencilOperator::add_to_diagonal(std::size_t i, double value) {
   diag_[i] += value;
 }
 
+void StencilOperator::set_diagonal_entry(std::size_t i, double value) {
+  TPCOOL_REQUIRE(i < size(), "cell index out of range");
+  diag_[i] = value;
+}
+
 void StencilOperator::add_diagonal(const std::vector<double>& values) {
   TPCOOL_REQUIRE(values.size() == size(), "diagonal size mismatch");
   for (std::size_t i = 0; i < values.size(); ++i) diag_[i] += values[i];

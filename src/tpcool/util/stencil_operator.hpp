@@ -54,6 +54,10 @@ class StencilOperator {
   /// Accumulate a boundary (or mass) term onto the diagonal of cell `i`.
   void add_to_diagonal(std::size_t i, double value);
 
+  /// Overwrite the diagonal entry of cell `i` (boundary-only re-assembly:
+  /// the bands keep their values).
+  void set_diagonal_entry(std::size_t i, double value);
+
   /// Add `values[i]` to every diagonal entry (backward-Euler mass matrix).
   void add_diagonal(const std::vector<double>& values);
 

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "tpcool/thermal/grid.hpp"
 #include "tpcool/thermal/metrics.hpp"
@@ -219,6 +221,96 @@ TEST(TransientSolver, LargeStepApproachesSteady) {
   std::vector<double> t(model.cell_count(), 30.0);
   model.step_transient(t, 1e6);
   for (std::size_t i = 0; i < t.size(); ++i) EXPECT_NEAR(t[i], steady[i], 0.01);
+}
+
+// ------------------------------------------ boundary-only re-assembly --
+
+/// Bitwise equality (unlike ==, tells -0.0 from 0.0 and matches NaNs).
+bool bits_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// A top boundary with per-cell h and fluid temperature; `dry_even` picks
+/// the checkerboard half of the cells that get h = 0 (adiabatic).
+TopBoundary patterned_boundary(std::size_t nx, std::size_t ny, double h0,
+                               double fluid_c, bool dry_even) {
+  TopBoundary b;
+  b.htc_w_m2k = Grid2D<double>(nx, ny, 0.0);
+  b.fluid_temp_c = Grid2D<double>(nx, ny, 0.0);
+  for (std::size_t iy = 0; iy < ny; ++iy) {
+    for (std::size_t ix = 0; ix < nx; ++ix) {
+      const bool even = (ix + iy) % 2 == 0;
+      b.htc_w_m2k(ix, iy) =
+          even == dry_even ? 0.0 : h0 * (1.0 + 0.01 * static_cast<double>(ix));
+      b.fluid_temp_c(ix, iy) = fluid_c + 0.1 * static_cast<double>(iy);
+    }
+  }
+  return b;
+}
+
+/// `reused` (re-assembled in place) and `fresh` (assembled once) must hold
+/// the same operator bit for bit, and solve to the same bits.
+void expect_same_model(const ThermalModel& reused, const ThermalModel& fresh) {
+  const util::StencilOperator& a = reused.conductance_operator();
+  const util::StencilOperator& b = fresh.conductance_operator();
+  EXPECT_TRUE(bits_equal(a.diagonal(), b.diagonal()));
+  for (std::size_t band = 0; band < 6; ++band) {
+    std::vector<double> band_a(a.size()), band_b(b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      band_a[i] = a.offdiag(i, static_cast<util::StencilBand>(band));
+      band_b[i] = b.offdiag(i, static_cast<util::StencilBand>(band));
+    }
+    EXPECT_TRUE(bits_equal(band_a, band_b)) << "band " << band;
+  }
+  EXPECT_TRUE(bits_equal(reused.solve_steady(), fresh.solve_steady()));
+  std::vector<double> step_a(reused.cell_count(), 35.0);
+  std::vector<double> step_b = step_a;
+  reused.step_transient(step_a, 0.05);
+  fresh.step_transient(step_b, 0.05);
+  EXPECT_TRUE(bits_equal(step_a, step_b));
+}
+
+TEST(BoundaryReassembly, TopOnlyUpdateMatchesAFreshAssemblyBitwise) {
+  PackageStackConfig config;
+  config.cell_size_m = 4.0e-3;
+  const StackModel stack = make_package_stack(config);
+  const std::size_t nx = stack.grid.nx;
+  const std::size_t ny = stack.grid.ny;
+  Grid2D<double> power(nx, ny, 0.0);
+  power(nx / 2, ny / 2) = 20.0;
+  power(nx / 3, ny / 2) = 5.0;
+  const auto fresh_model = [&](const TopBoundary& top, double bottom_h) {
+    ThermalModel fresh(stack);
+    fresh.set_power_map(power);
+    fresh.set_bottom_boundary(bottom_h, 40.0);
+    fresh.set_top_boundary(top);
+    return fresh;
+  };
+
+  // Assembled under X, then switched to Y (every h > 0 cell goes to 0 and
+  // vice versa), then back to X's pattern with new values: each switch
+  // re-assembles only the top boundary, with the step operator cached.
+  const std::vector<TopBoundary> boundaries{
+      patterned_boundary(nx, ny, 1.0e4, 35.0, true),
+      patterned_boundary(nx, ny, 2.5e4, 38.0, false),
+      patterned_boundary(nx, ny, 5.0e3, 32.0, true)};
+  ThermalModel reused(stack);
+  reused.set_power_map(power);
+  reused.set_bottom_boundary(10.0, 40.0);
+  for (const TopBoundary& top : boundaries) {
+    reused.set_top_boundary(top);
+    expect_same_model(reused, fresh_model(top, 10.0));
+  }
+
+  // A bottom-boundary change after a top-only update still re-assembles
+  // everything: both orders of the two setters give the fresh result.
+  reused.set_top_boundary(boundaries[1]);
+  reused.set_bottom_boundary(25.0, 40.0);
+  expect_same_model(reused, fresh_model(boundaries[1], 25.0));
+  reused.set_bottom_boundary(10.0, 40.0);
+  reused.set_top_boundary(boundaries[0]);
+  expect_same_model(reused, fresh_model(boundaries[0], 10.0));
 }
 
 // ---------------------------------------------------------------- metrics --

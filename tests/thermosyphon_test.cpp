@@ -4,7 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "tpcool/thermosyphon/boiling.hpp"
 #include "tpcool/thermosyphon/channel.hpp"
@@ -62,6 +68,21 @@ TEST(Boiling, CooperMagnitudeReasonable) {
                               r236fa().molar_mass_g_mol(), 1.0e5);
   EXPECT_GT(h, 5.0e3);
   EXPECT_LT(h, 3.0e4);
+}
+
+TEST(Boiling, CooperIsTheLeftToRightProductBitwise) {
+  // The hoisted solve multiplies a cached ((55·a)·b)·c by q^0.67; that is
+  // only the same double because cooper_htc evaluates left to right.
+  for (const double pr : {0.05, 0.1, 0.3}) {
+    for (const double q : {10.0, 5.0e4, 2.0e5}) {
+      const double literal = 55.0 * std::pow(pr, 0.12) *
+                             std::pow(-std::log10(pr), -0.55) *
+                             std::pow(152.04, -0.5) *
+                             std::pow(std::max(q, 1.0e3), 0.67);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(cooper_htc(pr, 152.04, q)),
+                std::bit_cast<std::uint64_t>(literal));
+    }
+  }
 }
 
 TEST(Boiling, CooperRejectsBadInputs) {
@@ -387,6 +408,116 @@ TEST_F(ThermosyphonTest, MismatchedFootprintRejected) {
   ThermosyphonDesign d = design();
   d.evaporator.footprint_width_m = 30e-3;  // smaller than the stack's rect
   EXPECT_THROW(Thermosyphon(d, grid(), footprint()), util::PreconditionError);
+}
+
+TEST_F(ThermosyphonTest, TabulatedRouteMatchesTheGeometricRoute) {
+  // The reference: route each cell from its centre, as a per-cell
+  // computation (Thermosyphon tabulates columns and rows instead).
+  for (const Orientation o :
+       {Orientation::kEastWest, Orientation::kNorthSouth}) {
+    const Thermosyphon ts(design(o), grid(), footprint());
+    const floorplan::Rect fp = footprint();
+    const bool east_west = o == Orientation::kEastWest;
+    const double pitch = ts.design().evaporator.pitch_m();
+    const std::size_t n_channels = ts.design().evaporator.channel_count();
+    const std::size_t n_segments = ts.segment_count();
+    std::size_t routed = 0;
+    for (std::size_t iy = 0; iy < grid().ny; ++iy) {
+      for (std::size_t ix = 0; ix < grid().nx; ++ix) {
+        const floorplan::Rect cell = grid().cell_rect(ix, iy);
+        const double cx = cell.center_x();
+        const double cy = cell.center_y();
+        std::optional<Thermosyphon::CellRoute> expected;
+        if (fp.contains(cx, cy)) {
+          const double transverse = east_west ? cy - fp.y0 : cx - fp.x0;
+          const double along_frac = east_west ? (cx - fp.x0) / fp.width()
+                                              : (fp.y1 - cy) / fp.height();
+          expected = Thermosyphon::CellRoute{
+              std::min(static_cast<std::size_t>(transverse / pitch),
+                       n_channels - 1),
+              std::min(static_cast<std::size_t>(
+                           along_frac * static_cast<double>(n_segments)),
+                       n_segments - 1)};
+          ++routed;
+        }
+        EXPECT_EQ(ts.route(ix, iy), expected) << "cell (" << ix << ", " << iy
+                                              << ")";
+      }
+    }
+    EXPECT_EQ(routed, 44u * 42u);  // every cell centre in the footprint
+  }
+}
+
+TEST_F(ThermosyphonTest, HtcMapMatchesThePerSegmentLocalHtcBitwise) {
+  // The solve hoists every saturation-state term out of the channel march;
+  // the reference rebuilds each segment's HTC with the fluid-level
+  // local_htc, from march_channel's qualities, over the idle loop, normal
+  // boiling and dry-out.
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const Orientation o :
+       {Orientation::kEastWest, Orientation::kNorthSouth}) {
+    const Thermosyphon ts(design(o), grid(), footprint());
+    const EvaporatorGeometry& geom = ts.design().evaporator;
+    const std::size_t n_channels = geom.channel_count();
+    const std::size_t n_segments = ts.segment_count();
+    const double d_h = geom.hydraulic_diameter_m();
+    int regime = 0;  // 0 idle, 1 boiling, 2 dry-out
+    for (const util::Grid2D<double>& heat :
+         {util::Grid2D<double>(45, 43, 0.0), block_heat(20.0, 12),
+          block_heat(60.0, 3)}) {
+      SCOPED_TRACE("regime " + std::to_string(regime));
+      const ThermosyphonState s = ts.solve(heat, {});
+      EXPECT_EQ(s.q_total_w > 0.0, regime > 0);
+      EXPECT_EQ(s.any_dryout, regime == 2);
+      ++regime;
+
+      std::vector<std::vector<double>> reference(n_channels);
+      if (s.q_total_w > 0.0) {
+        std::vector<std::vector<double>> channel_heat(
+            n_channels, std::vector<double>(n_segments, 0.0));
+        for (std::size_t iy = 0; iy < grid().ny; ++iy) {
+          for (std::size_t ix = 0; ix < grid().nx; ++ix) {
+            const auto r = ts.route(ix, iy);
+            if (heat(ix, iy) > 0.0) {
+              channel_heat[r->channel][r->segment] += heat(ix, iy);
+            }
+          }
+        }
+        ChannelConditions cond;
+        cond.fluid = &r236fa();
+        cond.t_sat_c = s.t_sat_c;
+        cond.mass_flow_kg_s =
+            s.refrigerant_flow_kg_s / static_cast<double>(n_channels);
+        cond.filling_ratio = 0.55;
+        const double seg_area =
+            geom.heated_width_m() *
+            (geom.channel_length_m() / static_cast<double>(n_segments));
+        const double mass_flux =
+            cond.mass_flow_kg_s / geom.channel_flow_area_m2();
+        for (std::size_t ch = 0; ch < n_channels; ++ch) {
+          const ChannelProfile profile =
+              march_channel(cond, geom, channel_heat[ch]);
+          for (std::size_t seg = 0; seg < n_segments; ++seg) {
+            reference[ch].push_back(local_htc(
+                r236fa(), s.t_sat_c, profile.quality[seg],
+                channel_heat[ch][seg] / seg_area, mass_flux, 0.55, d_h));
+          }
+        }
+      }
+      const double idle = single_phase_liquid_htc(r236fa(), s.t_sat_c, d_h);
+      for (std::size_t iy = 0; iy < grid().ny; ++iy) {
+        for (std::size_t ix = 0; ix < grid().nx; ++ix) {
+          const auto r = ts.route(ix, iy);
+          const double expected =
+              !r ? 0.0
+                 : (s.q_total_w > 0.0 ? reference[r->channel][r->segment]
+                                      : idle);
+          ASSERT_EQ(bits(s.htc_map(ix, iy)), bits(expected))
+              << "cell (" << ix << ", " << iy << ")";
+        }
+      }
+    }
+  }
 }
 
 TEST_F(ThermosyphonTest, ZeroLoadGivesStagnantPoolHtc) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "tpcool/thermal/stack.hpp"
 #include "tpcool/thermal/step_control.hpp"
 #include "tpcool/util/error.hpp"
+#include "tpcool/util/telemetry.hpp"
 #include "tpcool/util/thread_pool.hpp"
 
 namespace tpcool {
@@ -163,6 +165,22 @@ thermal::StackModel make_slab(std::size_t nx, std::size_t ny) {
   return model;
 }
 
+/// The engine's step doubling on a bare model: two committed half steps,
+/// then one full step from the same start; returns their max-norm
+/// distance and leaves the half-step state in `t`.
+double step_doubling(const thermal::ThermalModel& model,
+                     std::vector<double>& t, double dt_s) {
+  std::vector<double> full = t;
+  model.step_transient(t, 0.5 * dt_s);
+  model.step_transient(t, 0.5 * dt_s);
+  model.step_transient(full, dt_s);
+  double error_c = 0.0;
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    error_c = std::max(error_c, std::abs(full[i] - t[i]));
+  }
+  return error_c;
+}
+
 TEST(EmbeddedStep, CommitsTheTwoHalfStepsAndReturnsTheirDistance) {
   thermal::ThermalModel model(make_slab(6, 6));
   model.set_top_boundary_uniform(4000.0, 30.0);
@@ -170,25 +188,34 @@ TEST(EmbeddedStep, CommitsTheTwoHalfStepsAndReturnsTheirDistance) {
   model.set_power_map(util::Grid2D<double>(6, 6, 0.2));
   const std::vector<double> t0(model.cell_count(), 30.0);
 
-  // The committed state is exactly the two-half-step path.
+  // The committed state is exactly the two-half-step path, and the full
+  // step taken after the halves is the one taken before them: a step
+  // depends only on its operands, which is what lets the engine take the
+  // full step once per trial, after its coupling passes.
   std::vector<double> embedded = t0;
-  const double error_c = model.step_transient_embedded(embedded, 0.2);
+  const double error_c = step_doubling(model, embedded, 0.2);
+  std::vector<double> full_first = t0;
+  model.step_transient(full_first, 0.2);
   std::vector<double> manual = t0;
   model.step_transient(manual, 0.1);
   model.step_transient(manual, 0.1);
   EXPECT_EQ(embedded, manual);  // bitwise
+  double distance_c = 0.0;
+  for (std::size_t i = 0; i < manual.size(); ++i) {
+    distance_c = std::max(distance_c, std::abs(full_first[i] - manual[i]));
+  }
+  EXPECT_EQ(error_c, distance_c);  // bitwise
 
   // A heating transient has a nonzero estimate, and halving dt cuts it
   // about 4x (backward Euler is first order: the step-doubling estimate
   // scales as dt^2).
   EXPECT_GT(error_c, 0.0);
   std::vector<double> halved = t0;
-  const double error_half_c = model.step_transient_embedded(halved, 0.1);
+  const double error_half_c = step_doubling(model, halved, 0.1);
   EXPECT_LT(error_half_c, error_c);
   EXPECT_NEAR(error_c / error_half_c, 4.0, 2.0);
 
-  EXPECT_THROW((void)model.step_transient_embedded(embedded, 0.0),
-               util::PreconditionError);
+  EXPECT_THROW(model.step_transient(embedded, 0.0), util::PreconditionError);
 }
 
 // ---------------------------------------------------- TransientFleetEngine --
@@ -283,6 +310,59 @@ TEST_F(TransientEngineTest, BitIdenticalAcrossThreadCounts) {
             .run(smooth_streams());
     EXPECT_EQ(datacenter::transient_digest(parallel), serial_digest);
   }
+}
+
+double span_arg(const util::SpanRecord& span, const std::string& key) {
+  for (const auto& [name, value] : span.args) {
+    if (name == key) return value;
+  }
+  ADD_FAILURE() << span.name << " has no arg " << key;
+  return -1.0;
+}
+
+TEST_F(TransientEngineTest, SegmentSpansCountTheirCouplingPassesAndSolves) {
+  util::Telemetry& telemetry = util::Telemetry::instance();
+  telemetry.enable();
+  telemetry.reset();
+  util::ThreadPool::set_global_thread_count(2);
+  core::SolveCache::global()->clear();  // every segment integrates cold
+  (void)datacenter::TransientFleetEngine(small_fleet(), {})
+      .run(smooth_streams());
+  const std::vector<util::SpanRecord> spans = telemetry.merged_spans();
+  const util::MetricsSnapshot metrics = telemetry.metrics();
+  telemetry.reset();
+  telemetry.disable();
+  ASSERT_EQ(metrics.dropped_spans, 0u);
+
+  std::size_t segments = 0;
+  double total_passes = 0.0;
+  for (const util::SpanRecord& segment : spans) {
+    if (segment.name != "transient.segment") continue;
+    ++segments;
+    const double passes = span_arg(segment, "coupling_passes");
+    const double solves = span_arg(segment, "linear_solves");
+    const double trials =
+        span_arg(segment, "steps") + span_arg(segment, "rejected_steps");
+    // Two half steps per coupling pass, one full step per trial.
+    EXPECT_EQ(solves, 2.0 * passes + trials);
+    EXPECT_GE(passes, trials);
+    // Every one of them is a CG solve recorded under the segment.
+    const auto under_segment = [&](const util::SpanRecord& cg) {
+      return cg.name == "cg" && cg.tid == segment.tid &&
+             cg.start_ns >= segment.start_ns &&
+             cg.start_ns + cg.dur_ns <= segment.start_ns + segment.dur_ns;
+    };
+    EXPECT_EQ(static_cast<double>(
+                  std::count_if(spans.begin(), spans.end(), under_segment)),
+              solves);
+    total_passes += passes;
+  }
+  EXPECT_EQ(segments, 4u);  // two intervals x two streams
+  const auto counter = std::find_if(
+      metrics.counters.begin(), metrics.counters.end(),
+      [](const auto& c) { return c.first == "transient.coupling_passes"; });
+  ASSERT_NE(counter, metrics.counters.end());
+  EXPECT_EQ(counter->second, total_passes);
 }
 
 TEST_F(TransientEngineTest, SnapshotWarmRerunReplaysWithZeroMisses) {
