@@ -18,11 +18,10 @@
 ///    hit storm means a key was evicted or mis-striped) while the times
 ///    catch contention regressions.
 ///
-///  - `segmented_{save,load,mergesave}_s8_tN` / `legacy_migrate_load_t1` —
-///    best-of-N timings of the segmented v3 snapshot: parallel merge-save
-///    of a populated 8-stripe cache, a cold load of the manifest + 8
-///    segments, a load-then-save merge cycle against the existing file,
-///    and the legacy monolithic v2 migration load.  Every load is digest-
+///  - `segmented_{save,load,mergesave}_s8_tN` — best-of-N timings of the
+///    segmented v3 snapshot: parallel merge-save of a populated 8-stripe
+///    cache, a cold load of the manifest + 8 segments, and a load-then-save
+///    merge cycle against the existing file.  Every load is digest-
 ///    verified against the source cache (mismatch exits 1), so these rows
 ///    double as a round-trip smoke on every bench run.  "iterations" is
 ///    the snapshot entry count.
@@ -224,12 +223,10 @@ int main(int argc, char** argv) {
   const std::string snap_path = json_path + ".snap";
   {
     core::SolveCache source(snap_entries * 4, 8);
-    std::vector<core::cache_io::SnapshotEntry> legacy_entries;
     for (std::size_t i = 0; i < snap_entries; ++i) {
-      const std::string key = "snap/k" + std::to_string(i);
-      const core::SimulationResult r = bench_result(static_cast<int>(i));
-      source.put(key, r, 1.0 + static_cast<double>(i));
-      legacy_entries.push_back({key, 0.0, r});
+      source.put("snap/k" + std::to_string(i),
+                 bench_result(static_cast<int>(i)),
+                 1.0 + static_cast<double>(i));
     }
     const std::uint64_t reference = source.content_digest();
     const auto verify = [&](const core::SolveCache& loaded,
@@ -243,7 +240,6 @@ int main(int argc, char** argv) {
     CaseResult save{"segmented_save_s8_t4", 4, 0.0, snap_entries, 0};
     CaseResult load{"segmented_load_s8_t4", 4, 0.0, snap_entries, 0};
     CaseResult merge{"segmented_mergesave_s8_t4", 4, 0.0, snap_entries, 0};
-    CaseResult migrate{"legacy_migrate_load_t1", 1, 0.0, snap_entries, 0};
     for (int rep = 0; rep < repeats; ++rep) {
       auto start = Clock::now();
       source.save(snap_path);
@@ -265,28 +261,11 @@ int main(int argc, char** argv) {
                                : std::min(merge.best_ms, ms_since(start));
       verify(merger, "segmented merge-save");
     }
-
-    // Legacy v2 migration: author the pre-shard monolithic format once,
-    // then time the read-only migration load (costs reset to 0, content
-    // identical).
-    const std::string legacy_path = snap_path + ".v2";
-    core::cache_io::write_file_atomic(
-        legacy_path, core::cache_io::encode_legacy_v2(legacy_entries));
-    for (int rep = 0; rep < repeats; ++rep) {
-      core::SolveCache migrated(snap_entries * 4, 8);
-      const auto start = Clock::now();
-      migrated.load(legacy_path);
-      migrate.best_ms = rep == 0 ? ms_since(start)
-                                 : std::min(migrate.best_ms, ms_since(start));
-      verify(migrated, "legacy v2 migration load");
-    }
     cases.push_back(save);
     cases.push_back(load);
     cases.push_back(merge);
-    cases.push_back(migrate);
 
     std::error_code ec;
-    std::filesystem::remove(legacy_path, ec);
     std::filesystem::remove(snap_path, ec);
     for (std::size_t i = 0; i < 8; ++i) {
       std::filesystem::remove(core::cache_io::segment_path(snap_path, i), ec);

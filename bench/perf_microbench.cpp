@@ -12,6 +12,7 @@
 #include "bench_flags.hpp"
 #include "tpcool/core/server.hpp"
 #include "tpcool/mapping/config_select.hpp"
+#include "tpcool/util/linear_solver.hpp"
 #include "tpcool/util/stencil_operator.hpp"
 
 namespace {
@@ -152,41 +153,20 @@ void BM_SpmvStencil(benchmark::State& state) {
 BENCHMARK(BM_SpmvStencil)->Arg(32)->Arg(64)->Arg(128)
     ->Unit(benchmark::kMicrosecond);
 
-/// SpMV on the same operator converted to CSR (the seed representation).
-void BM_SpmvCsr(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const util::SparseMatrix m =
-      stencil_like_thermal(n, n, 6).to_sparse();
-  std::vector<double> x(m.size(), 1.0), y;
-  for (auto _ : state) {
-    m.multiply(x, y);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.counters["cells"] = static_cast<double>(m.size());
-}
-BENCHMARK(BM_SpmvCsr)->Arg(32)->Arg(64)->Arg(128)
-    ->Unit(benchmark::kMicrosecond);
-
-/// Full CG solve on the stencil: Jacobi vs SSOR preconditioning.
+/// Full SSOR-PCG solve on the stencil.
 void BM_StencilCgSolve(benchmark::State& state) {
   const util::StencilOperator op = stencil_like_thermal(70, 60, 6);
-  const bool ssor = state.range(0) != 0;
   const std::vector<double> b(op.size(), 1.0);
   std::size_t iterations = 0;
   for (auto _ : state) {
     std::vector<double> x;
-    const util::CgResult r = util::solve_cg(
-        op, b, x,
-        {.tolerance = 1e-8,
-         .preconditioner = ssor ? util::Preconditioner::kSsor
-                                : util::Preconditioner::kJacobi});
+    const util::CgResult r = util::solve_cg(op, b, x, {.tolerance = 1e-8});
     iterations = r.iterations;
     benchmark::DoNotOptimize(x.data());
   }
   state.counters["iterations"] = static_cast<double>(iterations);
-  state.SetLabel(ssor ? "ssor" : "jacobi");
 }
-BENCHMARK(BM_StencilCgSolve)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_StencilCgSolve)->Unit(benchmark::kMillisecond);
 
 /// The package-stack thermal model at `state.range(0)` micrometre pitch
 /// with the steady solve's boundary and a hot spot on the die.

@@ -5,11 +5,10 @@ Usage:
     cache_inspect.py PATH [--verify]
 
 PATH is a segmented v3 manifest (written by SolveCache::save; segments
-live next to it as PATH.seg0000, PATH.seg0001, ...) or a legacy
-monolithic v2 snapshot.  The byte layouts are defined in
-src/tpcool/core/cache_segment_io.cpp and documented in docs/CACHE.md;
-this script is an independent Python reimplementation of the readers, so
-CI can sanity-check the files the bench chain persists.
+live next to it as PATH.seg0000, PATH.seg0001, ...).  The byte layouts
+are defined in src/tpcool/core/cache_segment_io.cpp and documented in
+docs/CACHE.md; this script is an independent Python reimplementation of
+the readers, so CI can sanity-check the files the bench chain persists.
 
 Default output: schema version, segment count, total entries, per-shard
 (= per-segment) entry counts and byte sizes, total on-disk size, and the
@@ -30,10 +29,8 @@ import argparse
 import struct
 import sys
 
-LEGACY_MAGIC = b"TPCOOLSC"
 MANIFEST_MAGIC = b"TPCOOLSM"
 SEGMENT_MAGIC = b"TPCOOLSG"
-LEGACY_VERSION = 2
 SEGMENTED_VERSION = 3
 
 # util/fnv.hpp's pinned constants (the offset basis is the repo's own
@@ -110,7 +107,7 @@ def open_sealed(blob, magic, what):
     return cursor
 
 
-def read_entries(cursor, count, with_cost, what):
+def read_entries(cursor, count, what):
     """Parse `count` entries; returns [(key, cost_ms, payload, digest)]."""
     entries = []
     for i in range(count):
@@ -119,8 +116,7 @@ def read_entries(cursor, count, with_cost, what):
         key = cursor.take(cursor.u64(field), field + " key")
         if fnv1a(key) != digest:
             raise CorruptSnapshot(f"{what}: {field} key digest mismatch")
-        cost = struct.unpack("<d", cursor.take(8, field))[0] if with_cost \
-            else 0.0
+        cost = struct.unpack("<d", cursor.take(8, field))[0]
         payload = cursor.take(cursor.u64(field), field + " payload")
         entries.append((key, cost, payload, digest))
     if cursor.remaining():
@@ -156,7 +152,7 @@ def load_segment(path, index, seg_count, info):
         raise CorruptSnapshot(
             f"{path}: {entry_count} entries != manifest's "
             f"{info['entry_count']}")
-    entries = read_entries(cursor, entry_count, with_cost=True, what=path)
+    entries = read_entries(cursor, entry_count, what=path)
     for key, _, _, digest in entries:
         if shard_index(digest, seg_count) != index:
             raise CorruptSnapshot(
@@ -189,16 +185,6 @@ def load_manifest(path, blob):
     return total, segments
 
 
-def load_legacy(path, blob):
-    cursor = open_sealed(blob, LEGACY_MAGIC, path)
-    version = cursor.u32("version")
-    if version != LEGACY_VERSION:
-        raise CorruptSnapshot(f"{path}: schema version {version}, "
-                              f"expected {LEGACY_VERSION}")
-    return read_entries(cursor, cursor.u64("entry count"), with_cost=False,
-                        what=path)
-
-
 def content_digest(entries):
     """Wrapping sum of fnv1a(payload, seed=fnv1a(key)) — order-insensitive,
     == SolveCache::content_digest after loading these entries."""
@@ -208,7 +194,7 @@ def content_digest(entries):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("path", help="manifest (v3) or legacy snapshot (v2)")
+    parser.add_argument("path", help="snapshot manifest (v3)")
     parser.add_argument("--verify", action="store_true",
                         help="exit non-zero on any corruption")
     args = parser.parse_args()
@@ -221,14 +207,7 @@ def main():
         return 2
 
     try:
-        if blob[:8] == LEGACY_MAGIC:
-            entries = load_legacy(args.path, blob)
-            print(f"{args.path}: legacy monolithic snapshot "
-                  f"(schema v{LEGACY_VERSION})")
-            print(f"  entries:        {len(entries)}")
-            print(f"  bytes:          {len(blob)}")
-            print(f"  content digest: {content_digest(entries):#018x}")
-        elif blob[:8] == MANIFEST_MAGIC:
+        if blob[:8] == MANIFEST_MAGIC:
             total, segments = load_manifest(args.path, blob)
             print(f"{args.path}: segmented snapshot "
                   f"(schema v{SEGMENTED_VERSION})")

@@ -18,17 +18,6 @@ namespace tpcool::core::cache_io {
 
 // ------------------------------------------------------------- formats --
 //
-// Legacy monolithic snapshot (v2, read-only; the pre-shard format):
-//
-//   magic   8 bytes  "TPCOOLSC"
-//   u32     schema version (2)
-//   u64     entry count
-//   entry*  most- to least-recently-used:
-//             u64 FNV-1a digest of the key bytes
-//             u64 key length, key bytes
-//             u64 payload length, payload bytes (one SimulationResult)
-//   u64     FNV-1a digest of every preceding byte of the file
-//
 // Segmented snapshot (v3): a manifest plus one segment file per shard
 // digest-range (segment i holds exactly the keys whose FNV-1a digest's top
 // log2(count) bits equal i).
@@ -53,11 +42,9 @@ namespace tpcool::core::cache_io {
 
 namespace {
 
-constexpr char kLegacyMagic[8] = {'T', 'P', 'C', 'O', 'O', 'L', 'S', 'C'};
 constexpr char kManifestMagic[8] = {'T', 'P', 'C', 'O', 'O', 'L', 'S', 'M'};
 constexpr char kSegmentMagic[8] = {'T', 'P', 'C', 'O', 'O', 'L', 'S', 'G'};
 
-constexpr std::uint32_t kLegacyVersion = 2;
 constexpr std::uint32_t kSegmentedVersion = 3;
 
 /// Hard ceiling on segment counts accepted from disk; far above any real
@@ -431,30 +418,7 @@ std::string encode_manifest(const std::vector<SegmentInfo>& segments) {
   return blob;
 }
 
-std::string encode_legacy_v2(const std::vector<SnapshotEntry>& entries) {
-  std::string blob;
-  blob.append(kLegacyMagic, sizeof(kLegacyMagic));
-  put_u32(blob, kLegacyVersion);
-  put_u64(blob, entries.size());
-  for (const SnapshotEntry& entry : entries) {
-    const std::string payload = serialize_result(entry.result);
-    put_u64(blob, key_digest(entry.key));
-    put_u64(blob, entry.key.size());
-    blob += entry.key;
-    put_u64(blob, payload.size());
-    blob += payload;
-  }
-  put_u64(blob, fnv1a(blob.data(), blob.size()));
-  return blob;
-}
-
 // ------------------------------------------------------------- decoding --
-
-bool is_legacy_snapshot(const std::string& blob) {
-  return blob.size() >= sizeof(kLegacyMagic) &&
-         std::equal(kLegacyMagic, kLegacyMagic + sizeof(kLegacyMagic),
-                    blob.begin());
-}
 
 bool is_manifest(const std::string& blob) {
   return blob.size() >= sizeof(kManifestMagic) &&
@@ -470,8 +434,7 @@ Manifest decode_manifest(const std::string& blob, const std::string& origin) {
     throw SnapshotError(
         "solve-cache manifest " + origin + " has schema version " +
         std::to_string(manifest.version) + "; this build reads only version " +
-        std::to_string(kSegmentedVersion) + " (and migrates legacy version " +
-        std::to_string(kLegacyVersion) + ") — delete it and re-warm");
+        std::to_string(kSegmentedVersion) + " — delete it and re-warm");
   }
   const std::uint64_t segment_count = cursor.u64();
   if (segment_count == 0 || segment_count > kMaxSegments ||
@@ -583,52 +546,6 @@ std::vector<SnapshotEntry> decode_segment(const std::string& blob,
   }
   if (cursor.remaining() != 0) {
     throw SnapshotError("corrupt solve-cache segment " + origin +
-                        ": trailing bytes after the last entry");
-  }
-  return entries;
-}
-
-std::vector<SnapshotEntry> decode_legacy_v2(const std::string& blob,
-                                            const std::string& origin) {
-  Cursor cursor = open_sealed(blob, kLegacyMagic, "snapshot", origin);
-  // Version before entries: a future schema gets the clear refusal below
-  // even if it also moves the digest.
-  const std::uint32_t version = cursor.u32();
-  if (version != kLegacyVersion) {
-    throw SnapshotError(
-        "solve-cache snapshot " + origin + " has schema version " +
-        std::to_string(version) + "; this build reads only legacy version " +
-        std::to_string(kLegacyVersion) + " and segmented version " +
-        std::to_string(kSegmentedVersion) + " — delete it and re-warm");
-  }
-  const std::uint64_t entry_count = cursor.u64();
-  std::vector<SnapshotEntry> entries;
-  entries.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(entry_count, 4096)));
-  for (std::uint64_t i = 0; i < entry_count; ++i) {
-    const std::uint64_t recorded_digest = cursor.u64();
-    const std::size_t key_size = cursor.length("key");
-    std::string key = cursor.bytes(key_size);
-    if (key_digest(key) != recorded_digest) {
-      throw SnapshotError("corrupt solve-cache snapshot " + origin +
-                          ": key digest mismatch at entry " +
-                          std::to_string(i));
-    }
-    const std::size_t payload_size = cursor.length("payload");
-    Cursor payload(blob, cursor.pos(), cursor.pos() + payload_size);
-    SimulationResult result = parse_result(payload);
-    if (payload.remaining() != 0) {
-      throw SnapshotError("corrupt solve-cache snapshot " + origin +
-                          ": payload of entry " + std::to_string(i) +
-                          " has trailing bytes");
-    }
-    cursor.skip(payload_size);
-    // Pre-shard snapshots did not record costs: migrated entries surface as
-    // cost 0 (cheapest to recompute) until their key is next computed.
-    entries.push_back(SnapshotEntry{std::move(key), 0.0, std::move(result)});
-  }
-  if (cursor.remaining() != 0) {
-    throw SnapshotError("corrupt solve-cache snapshot " + origin +
                         ": trailing bytes after the last entry");
   }
   return entries;

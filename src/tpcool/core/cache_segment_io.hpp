@@ -1,8 +1,7 @@
 #pragma once
 /// \file cache_segment_io.hpp
-/// \brief On-disk formats of the solve-cache: the segmented v3 snapshot
-///        (manifest + one segment file per shard digest-range) and the
-///        legacy monolithic v2 reader kept as the migration path.
+/// \brief On-disk format of the solve-cache: the segmented v3 snapshot
+///        (manifest + one segment file per shard digest-range).
 ///
 /// The formats are versioned, endian-safe binary (all integers
 /// little-endian, doubles as IEEE-754 bit patterns) and defensive: every
@@ -27,7 +26,7 @@
 namespace tpcool::core {
 
 /// Thrown for unreadable, truncated, corrupt, or schema-mismatched
-/// snapshot files (manifest or segment, v3 or legacy v2).
+/// snapshot files (manifest or segment).
 class SnapshotError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -123,15 +122,7 @@ class SegmentEncoder {
 [[nodiscard]] std::string encode_manifest(
     const std::vector<SegmentInfo>& segments);
 
-/// Legacy monolithic v2 writer.  Kept so tests and tooling can author the
-/// pre-shard format that load() migrates; production saves always write v3.
-[[nodiscard]] std::string encode_legacy_v2(
-    const std::vector<SnapshotEntry>& entries);
-
 // ------------------------------------------------------------- decoding --
-
-/// True when `blob` starts with the legacy monolithic magic ("TPCOOLSC").
-[[nodiscard]] bool is_legacy_snapshot(const std::string& blob);
 
 /// True when `blob` starts with the segmented manifest magic ("TPCOOLSM").
 [[nodiscard]] bool is_manifest(const std::string& blob);
@@ -151,12 +142,6 @@ class SegmentEncoder {
     const std::string& blob, std::size_t expected_index,
     std::size_t expected_count, const SegmentInfo& info,
     const std::string& origin);
-
-/// Decode and fully validate a legacy monolithic v2 snapshot (entries in
-/// saved MRU -> LRU order, costs default to 0 — the migration path for
-/// pre-shard snapshots).  Any version other than 2 is refused.
-[[nodiscard]] std::vector<SnapshotEntry> decode_legacy_v2(
-    const std::string& blob, const std::string& origin);
 
 // ------------------------------------------------------------- file I/O --
 

@@ -201,12 +201,7 @@ void SolveCache::load(const std::string& path) {
   // Parse and validate everything *before* touching the cache: a snapshot
   // that fails validation leaves the cache exactly as it was.
   std::vector<cache_io::SnapshotEntry> entries;
-  if (cache_io::is_legacy_snapshot(blob)) {
-    // v2 -> v3 migration path: monolithic snapshots (CI actions-cache
-    // blobs, long-lived --cache-file paths) load transparently; the next
-    // save rewrites them segmented.
-    entries = cache_io::decode_legacy_v2(blob, path);
-  } else if (cache_io::is_manifest(blob)) {
+  if (cache_io::is_manifest(blob)) {
     const cache_io::Manifest manifest = cache_io::decode_manifest(blob, path);
     const std::size_t segment_count = manifest.segments.size();
     for (std::size_t i = 0; i < segment_count; ++i) {

@@ -29,8 +29,8 @@
 /// shard digest-range (`path.segNNNN`), schema `kSnapshotVersion`, each
 /// file sealed by a stream digest (truncation, corruption, and
 /// mixed-generation manifest/segment pairs are detected, never undefined
-/// behavior).  Legacy monolithic v2 snapshots load transparently and are
-/// rewritten segmented on the next save (the v2 -> v3 migration path).
+/// behavior).  Any other file, including a snapshot of an older schema,
+/// is refused with SnapshotError and leaves the cache untouched.
 /// Setting `TPCOOL_SOLVE_CACHE_FILE=<path>` (or passing `--cache-file
 /// <path>` to a bench binary) loads the snapshot into the process-global
 /// cache at startup and atomically rewrites it at exit, so bench reruns and
@@ -81,8 +81,7 @@ class SolveCache {
   /// TPCOOL_SOLVE_CACHE_CAPACITY env override.
   static constexpr std::size_t kDefaultCapacity = 256;
 
-  /// Snapshot schema version; load() refuses any other version except the
-  /// legacy monolithic v2, which loads via the migration path.
+  /// Snapshot schema version; load() refuses any other version.
   /// v2: SimulationResult gained the transient-segment payload.
   /// v3: segmented format (manifest + one segment per shard digest-range)
   ///     and per-entry observed solve costs.
@@ -160,23 +159,21 @@ class SolveCache {
   /// runs surface growth early.
   void save(const std::string& path) const;
 
-  /// Merge the snapshot at `path` into this cache: either a segmented v3
-  /// manifest (+ its segment files) or a legacy monolithic v2 snapshot
-  /// (the migration path — costs default to 0 until remeasured).  Every
-  /// file is fully validated *before* the cache is touched.  Loaded
-  /// entries join behind the existing ones in saved recency order,
-  /// re-striped by this cache's own shard count (existing keys win; values
-  /// for one key are identical by construction) and the usual capacity
-  /// eviction applies.  Hit/miss counters are not touched.  Throws
-  /// SnapshotError — never UB — on unreadable, truncated, corrupt, or
-  /// schema-mismatched files.
+  /// Merge the snapshot at `path` (a segmented v3 manifest + its segment
+  /// files) into this cache.  Every file is fully validated *before* the
+  /// cache is touched.  Loaded entries join behind the existing ones in
+  /// saved recency order, re-striped by this cache's own shard count
+  /// (existing keys win; values for one key are identical by construction)
+  /// and the usual capacity eviction applies.  Hit/miss counters are not
+  /// touched.  Throws SnapshotError — never UB — on unreadable, truncated,
+  /// corrupt, or schema-mismatched files.
   void load(const std::string& path);
 
   /// Order-insensitive digest over all entries: the wrapping sum of
   /// per-entry FNV-1a digests (key bytes then payload bytes; observed
   /// costs excluded).  Independent of recency order, shard count, and
   /// merge interleaving, so equal digests certify equal contents across
-  /// save/load round trips, v2 migration, and concurrent merge-saves.
+  /// save/load round trips and concurrent merge-saves.
   [[nodiscard]] std::uint64_t content_digest() const;
 
   /// Load `path` into `cache` now if the file exists (a corrupt snapshot

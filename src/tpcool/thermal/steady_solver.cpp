@@ -18,15 +18,12 @@ std::vector<double> ThermalModel::solve_steady(
   std::vector<double> t = hint;
   const bool warm = t.size() == n;
   if (!warm) t.assign(n, 40.0);  // rough initial guess [°C]
-  // SSOR-preconditioned CG over the banded operator: ~3-5x fewer
-  // iterations than Jacobi on this stencil, and warm starts from `hint`
-  // (previous fixed-point iterate or previous sweep point) cut the rest.
+  // SSOR-preconditioned CG over the banded operator; warm starts from
+  // `hint` (previous fixed-point iterate or previous sweep point) cut the
+  // iteration count.
   last_stats_ = util::solve_cg(
       operator_, rhs, t,
-      {.tolerance = 1e-8,
-       .max_iterations = 50000,
-       .preconditioner = util::Preconditioner::kSsor,
-       .ssor_omega = 1.7});
+      {.tolerance = 1e-8, .max_iterations = 50000, .ssor_omega = 1.7});
   span.arg("cells", static_cast<double>(n));
   span.arg("iterations", static_cast<double>(last_stats_.iterations));
   span.arg("residual", last_stats_.residual);

@@ -43,11 +43,8 @@ void ThermalModel::step_transient(std::vector<double>& t, double dt_s) const {
   step_operator_.set_shifted_diagonal(operator_, cdiag);
 
   // Warm start from the previous state: consecutive steps differ little.
-  last_stats_ = util::solve_cg(
-      step_operator_, rhs, t,
-      {.tolerance = 1e-9,
-       .max_iterations = 20000,
-       .preconditioner = util::Preconditioner::kSsor});
+  last_stats_ = util::solve_cg(step_operator_, rhs, t,
+                               {.tolerance = 1e-9, .max_iterations = 20000});
 }
 
 }  // namespace tpcool::thermal

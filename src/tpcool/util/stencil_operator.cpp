@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "tpcool/util/error.hpp"
 #include "tpcool/util/thread_pool.hpp"
 
 namespace tpcool::util {
@@ -237,61 +238,6 @@ void StencilOperator::ssor_apply(const std::vector<double>& r,
                     std::min(kWavefrontRows, ny_ - done), iz);
     }
   }
-}
-
-SparseMatrix StencilOperator::to_sparse() const {
-  SparseMatrix m(size());
-  for (std::size_t i = 0; i < size(); ++i) {
-    if (diag_[i] != 0.0) m.add(i, i, diag_[i]);
-    const std::size_t ix = i % nx_;
-    const std::size_t iy = (i / nx_) % ny_;
-    const std::size_t iz = i / (nx_ * ny_);
-    const std::size_t plane = nx_ * ny_;
-    if (ix > 0 && bands_[0][i] != 0.0) m.add(i, i - 1, bands_[0][i]);
-    if (ix + 1 < nx_ && bands_[1][i] != 0.0) m.add(i, i + 1, bands_[1][i]);
-    if (iy > 0 && bands_[2][i] != 0.0) m.add(i, i - nx_, bands_[2][i]);
-    if (iy + 1 < ny_ && bands_[3][i] != 0.0) m.add(i, i + nx_, bands_[3][i]);
-    if (iz > 0 && bands_[4][i] != 0.0) m.add(i, i - plane, bands_[4][i]);
-    if (iz + 1 < nz_ && bands_[5][i] != 0.0) m.add(i, i + plane, bands_[5][i]);
-  }
-  m.finalize();
-  return m;
-}
-
-StencilOperator StencilOperator::from_sparse(const SparseMatrix& m,
-                                             std::size_t nx, std::size_t ny,
-                                             std::size_t nz) {
-  TPCOOL_REQUIRE(m.finalized(), "from_sparse: matrix not finalized");
-  TPCOOL_REQUIRE(m.size() == nx * ny * nz,
-                 "from_sparse: dimension mismatch with grid");
-  StencilOperator op(nx, ny, nz);
-  const std::size_t plane = nx * ny;
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    const std::size_t ix = i % nx;
-    const std::size_t iy = (i / nx) % ny;
-    const std::size_t iz = i / plane;
-    m.for_each_in_row(i, [&](std::size_t j, double v) {
-      if (j == i) {
-        op.diag_[i] = v;
-      } else if (j + 1 == i && ix > 0) {
-        op.bands_[0][i] = v;
-      } else if (j == i + 1 && ix + 1 < nx) {
-        op.bands_[1][i] = v;
-      } else if (j + nx == i && iy > 0) {
-        op.bands_[2][i] = v;
-      } else if (j == i + nx && iy + 1 < ny) {
-        op.bands_[3][i] = v;
-      } else if (j + plane == i && iz > 0) {
-        op.bands_[4][i] = v;
-      } else if (j == i + plane && iz + 1 < nz) {
-        op.bands_[5][i] = v;
-      } else {
-        TPCOOL_REQUIRE(v == 0.0,
-                       "from_sparse: nonzero outside the 7-point stencil");
-      }
-    });
-  }
-  return op;
 }
 
 }  // namespace tpcool::util

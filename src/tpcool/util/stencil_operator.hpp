@@ -5,18 +5,13 @@
 ///
 /// Every system the thermal grid assembles couples cell (ix, iy, iz) to at
 /// most its six axis neighbours. Storing the operator as seven coefficient
-/// arrays (one per band) removes the CSR column indirection of
-/// SparseMatrix, keeps the memory access pattern sequential, and gives the
-/// SSOR preconditioner its forward/backward sweeps for free (lower bands
-/// are exactly {x-, y-, z-}, upper bands {x+, y+, z+}).
-///
-/// Conversion to/from SparseMatrix is provided so tests can cross-check the
-/// two representations entry-for-entry.
+/// arrays (one per band) needs no column indices, keeps the memory access
+/// pattern sequential, and gives the SSOR preconditioner its forward/
+/// backward sweeps for free (lower bands are exactly {x-, y-, z-}, upper
+/// bands {x+, y+, z+}).
 
 #include <cstddef>
 #include <vector>
-
-#include "tpcool/util/linear_solver.hpp"
 
 namespace tpcool::util {
 
@@ -96,18 +91,6 @@ class StencilOperator {
   /// positive (including NaN).
   void ssor_apply(const std::vector<double>& r, std::vector<double>& z,
                   double omega) const;
-
-  /// Convert to the general CSR representation (tests, cross-checks).
-  [[nodiscard]] SparseMatrix to_sparse() const;
-
-  /// Build from a finalized SparseMatrix with 7-point structure on an
-  /// nx×ny×nz grid. Throws PreconditionError if any nonzero falls outside
-  /// the stencil pattern (including wrap-around entries like (i, i-1) when
-  /// ix == 0).
-  [[nodiscard]] static StencilOperator from_sparse(const SparseMatrix& m,
-                                                   std::size_t nx,
-                                                   std::size_t ny,
-                                                   std::size_t nz);
 
  private:
   [[nodiscard]] std::size_t neighbor_index(std::size_t i,

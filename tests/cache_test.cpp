@@ -1,7 +1,7 @@
 // Tests for the sharded solve-cache layer: shard-count/capacity resolution,
 // cost-aware eviction, the order-insensitive content digest, the segmented
 // (manifest + per-shard segment) snapshot format, re-striping across shard
-// counts, the legacy v2 migration path, rejection of damaged manifests and
+// counts, refusal of non-manifest files, rejection of damaged manifests and
 // missing/truncated/mixed-generation segments, a concurrent merge-save
 // torture run with a deterministic final digest, and the
 // attach_persistent_file displacement warning.
@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "tpcool/core/solve_cache.hpp"
+#include "tpcool/util/fnv.hpp"
 #include "tpcool/util/grid2d.hpp"
 
 namespace tpcool::core {
@@ -306,43 +307,64 @@ TEST(SegmentedSnapshotTest, NarrowerResaveRemovesStaleSegments) {
   remove_snapshot(path);
 }
 
-TEST(SegmentedSnapshotTest, MigratesLegacyV2SnapshotsLosslessly) {
-  // The pre-shard monolithic format (CI actions-cache blobs, long-lived
-  // --cache-file paths) must load transparently and round-trip through a
-  // segmented save bit-identically.
-  const std::string path = ::testing::TempDir() + "tpcool_cache_v2.bin";
-  const std::string resaved = ::testing::TempDir() + "tpcool_cache_v3.bin";
-  remove_snapshot(path);
-  remove_snapshot(resaved);
-
-  std::vector<cache_io::SnapshotEntry> entries;
-  for (int i = 0; i < 9; ++i) {
-    entries.push_back(cache_io::SnapshotEntry{
-        "legacy/k" + std::to_string(i), 0.0, rich_result(i)});
+/// The retired pre-shard monolithic snapshot, byte for byte: magic
+/// "TPCOOLSC", u32 schema 2, u64 entry count, then per entry the key digest,
+/// key and payload (length-prefixed), sealed by a trailing FNV-1a digest of
+/// every preceding byte.  Well-formed in every respect but its format.
+std::string monolithic_v2_blob(int entries) {
+  std::string blob = "TPCOOLSC";
+  const auto put_u64 = [&blob](std::uint64_t value, int bytes = 8) {
+    for (int i = 0; i < bytes; ++i) {
+      blob.push_back(static_cast<char>((value >> (8 * i)) & 0xFF));
+    }
+  };
+  put_u64(2, 4);
+  put_u64(static_cast<std::uint64_t>(entries));
+  for (int i = 0; i < entries; ++i) {
+    const std::string key = "monolithic/k" + std::to_string(i);
+    const std::string payload = cache_io::serialize_result(rich_result(i));
+    put_u64(cache_io::key_digest(key));
+    put_u64(key.size());
+    blob += key;
+    put_u64(payload.size());
+    blob += payload;
   }
-  write_file(path, cache_io::encode_legacy_v2(entries));
-  ASSERT_TRUE(cache_io::is_legacy_snapshot(read_file(path)));
+  std::uint64_t digest = util::kFnvOffsetBasis;
+  for (const char c : blob) util::fnv_byte(digest, static_cast<std::uint8_t>(c));
+  put_u64(digest);
+  return blob;
+}
 
-  SolveCache migrated(32, 4);
-  migrated.load(path);
-  EXPECT_EQ(migrated.stats().size, 9u);
-
-  // Reference digest: the same entries inserted directly.
-  SolveCache reference(32, 1);
-  for (const cache_io::SnapshotEntry& entry : entries) {
-    reference.put(entry.key, entry.result);
+TEST(SegmentedSnapshotTest, RefusesNonManifestFilesWithoutTouchingTheCache) {
+  // Only the segmented manifest is a snapshot: a monolithic "TPCOOLSC"
+  // file (the retired v2 format, which could hold results of older
+  // physics) and a file of unknown magic are both refused before the
+  // cache is touched.
+  const std::string path = ::testing::TempDir() + "tpcool_cache_refused.bin";
+  SolveCache cache(32, 4);
+  for (int i = 0; i < 5; ++i) {
+    cache.put("kept/k" + std::to_string(i), rich_result(i));
   }
-  EXPECT_EQ(migrated.content_digest(), reference.content_digest());
+  const std::size_t size = cache.stats().size;
+  const std::uint64_t digest = cache.content_digest();
 
-  // load v2 -> save v3 -> reload: bit-identical entries, segmented format.
-  migrated.save(resaved);
-  EXPECT_TRUE(cache_io::is_manifest(read_file(resaved)));
-  SolveCache reloaded(32, 2);
-  reloaded.load(resaved);
-  EXPECT_EQ(reloaded.stats().size, 9u);
-  EXPECT_EQ(reloaded.content_digest(), reference.content_digest());
-  remove_snapshot(path);
-  remove_snapshot(resaved);
+  const std::string monolithic = monolithic_v2_blob(9);
+  std::string unknown = monolithic;
+  unknown.replace(0, 8, "NOTASNAP");
+  for (const std::string& blob : {monolithic, unknown}) {
+    write_file(path, blob);
+    try {
+      cache.load(path);
+      FAIL() << "expected SnapshotError for magic " << blob.substr(0, 8);
+    } catch (const SnapshotError& error) {
+      EXPECT_NE(std::string(error.what()).find("bad magic"),
+                std::string::npos)
+          << error.what();
+    }
+    EXPECT_EQ(cache.stats().size, size);
+    EXPECT_EQ(cache.content_digest(), digest);
+  }
+  std::filesystem::remove(path);
 }
 
 TEST(SegmentedSnapshotTest, RejectsDamagedManifestAndSegments) {

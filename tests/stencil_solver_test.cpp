@@ -1,6 +1,6 @@
-// Tests for the structured solver core: StencilOperator vs SparseMatrix
-// equivalence, ThreadPool determinism, and preconditioned-CG behavior on
-// the banded operator.
+// Tests for the structured solver core: StencilOperator against a dense
+// matrix assembled from its bands, ThreadPool determinism, and SSOR-PCG
+// behavior on the banded operator (cross-checked against solve_dense).
 
 #include <gtest/gtest.h>
 
@@ -48,39 +48,57 @@ std::vector<double> random_vector(std::size_t n, unsigned seed) {
   return v;
 }
 
-// ------------------------------------------- StencilOperator <-> CSR --
-
-TEST(StencilOperator, MultiplyMatchesSparseOnRandomStencils) {
-  for (const unsigned seed : {1u, 2u, 3u}) {
-    const StencilOperator op = random_stencil(5, 4, 3, seed);
-    const SparseMatrix csr = op.to_sparse();
-    ASSERT_TRUE(csr.is_symmetric(1e-12));
-    const std::vector<double> x = random_vector(op.size(), seed + 100);
-    std::vector<double> y_stencil, y_csr;
-    op.multiply(x, y_stencil);
-    csr.multiply(x, y_csr);
-    for (std::size_t i = 0; i < op.size(); ++i) {
-      // The entries are identical; only the accumulation order differs
-      // (CSR sums columns ascending, the stencil sums band-by-band), so
-      // agreement is to rounding, not bitwise.
-      EXPECT_NEAR(y_stencil[i], y_csr[i], 1e-13) << "cell " << i;
+/// Row-major dense copy of `op`, read entry by entry through diag() and
+/// offdiag(): the independent reference for multiply() and solve_cg. Each
+/// band is placed only where its grid neighbour exists.
+std::vector<double> to_dense(const StencilOperator& op) {
+  const std::size_t n = op.size();
+  const std::size_t nx = op.nx(), ny = op.ny(), nz = op.nz();
+  std::vector<double> a(n * n, 0.0);
+  for (std::size_t iz = 0; iz < nz; ++iz) {
+    for (std::size_t iy = 0; iy < ny; ++iy) {
+      for (std::size_t ix = 0; ix < nx; ++ix) {
+        const std::size_t i = op.cell_index(ix, iy, iz);
+        const auto set = [&](bool exists, StencilBand band, std::size_t j) {
+          if (exists) a[i * n + j] = op.offdiag(i, band);
+        };
+        a[i * n + i] = op.diag(i);
+        set(ix > 0, StencilBand::kXMinus, i - 1);
+        set(ix + 1 < nx, StencilBand::kXPlus, i + 1);
+        set(iy > 0, StencilBand::kYMinus, i - nx);
+        set(iy + 1 < ny, StencilBand::kYPlus, i + nx);
+        set(iz > 0, StencilBand::kZMinus, i - nx * ny);
+        set(iz + 1 < nz, StencilBand::kZPlus, i + nx * ny);
+      }
     }
   }
+  return a;
 }
 
-TEST(StencilOperator, FromSparseRoundTrip) {
-  const StencilOperator op = random_stencil(4, 3, 2, 7);
-  const SparseMatrix csr = op.to_sparse();
-  const StencilOperator back = StencilOperator::from_sparse(csr, 4, 3, 2);
-  const std::vector<double> x = random_vector(op.size(), 42);
-  std::vector<double> y1, y2;
-  op.multiply(x, y1);
-  back.multiply(x, y2);
-  for (std::size_t i = 0; i < op.size(); ++i) {
-    EXPECT_DOUBLE_EQ(y1[i], y2[i]);
+// ------------------------------------------- StencilOperator vs dense --
+
+TEST(StencilOperator, MultiplyMatchesDenseOnRandomStencils) {
+  for (const unsigned seed : {1u, 2u, 3u}) {
+    const StencilOperator op = random_stencil(5, 4, 3, seed);
+    const std::size_t n = op.size();
+    const std::vector<double> a = to_dense(op);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < i; ++j) {
+        ASSERT_EQ(a[i * n + j], a[j * n + i]) << i << "," << j;
+      }
+    }
+    const std::vector<double> x = random_vector(n, seed + 100);
+    std::vector<double> y_stencil;
+    op.multiply(x, y_stencil);
+    for (std::size_t i = 0; i < n; ++i) {
+      double y_dense = 0.0;
+      for (std::size_t j = 0; j < n; ++j) y_dense += a[i * n + j] * x[j];
+      // The entries are identical; only the accumulation order differs
+      // (the dense row sums columns ascending, the stencil band-by-band),
+      // so agreement is to rounding, not bitwise.
+      EXPECT_NEAR(y_stencil[i], y_dense, 1e-13) << "cell " << i;
+    }
   }
-  const std::vector<double> d1 = op.diagonal(), d2 = back.diagonal();
-  for (std::size_t i = 0; i < op.size(); ++i) EXPECT_DOUBLE_EQ(d1[i], d2[i]);
 }
 
 TEST(StencilOperator, BoundaryCellsHaveNoWrapAroundCoupling) {
@@ -95,32 +113,12 @@ TEST(StencilOperator, BoundaryCellsHaveNoWrapAroundCoupling) {
                 0.0);
     }
   }
-  const SparseMatrix csr = op.to_sparse();
   // Cell (1,0,0) = index 1 and cell (0,1,0) = index 2 are adjacent in
-  // memory but not in the grid: no (1,2) entry may exist.
-  EXPECT_EQ(csr.coeff(1, 2), 0.0);
-}
-
-TEST(StencilOperator, FromSparseRejectsNonStencilEntry) {
-  SparseMatrix m(8);  // 2x2x2 grid
-  for (std::size_t i = 0; i < 8; ++i) m.add(i, i, 4.0);
-  m.add(0, 7, -1.0);  // diagonal-corner coupling: not a stencil neighbour
-  m.add(7, 0, -1.0);
-  m.finalize();
-  EXPECT_THROW((void)StencilOperator::from_sparse(m, 2, 2, 2),
-               PreconditionError);
-}
-
-TEST(StencilOperator, FromSparseRejectsWrapAroundEntry) {
-  // Entry (i, i-1) with ix == 0 is the previous x-row's last cell, not a
-  // stencil neighbour, even though the column offset looks like x-minus.
-  SparseMatrix m(4);  // 2x2x1 grid
-  for (std::size_t i = 0; i < 4; ++i) m.add(i, i, 4.0);
-  m.add(2, 1, -1.0);  // (0,1,0) <- (1,0,0): wrap across the x edge
-  m.add(1, 2, -1.0);
-  m.finalize();
-  EXPECT_THROW((void)StencilOperator::from_sparse(m, 2, 2, 1),
-               PreconditionError);
+  // memory but not in the grid: A e_2 must be 0 in row 1.
+  std::vector<double> e2(op.size(), 0.0), y;
+  e2[2] = 1.0;
+  op.multiply(e2, y);
+  EXPECT_EQ(y[1], 0.0);
 }
 
 TEST(StencilOperator, CouplingAtGridEdgeThrows) {
@@ -214,33 +212,65 @@ TEST(StencilSsor, RejectsZeroAndNanDiagonals) {
 
 // --------------------------------------------------- CG on the stencil --
 
-TEST(StencilCg, MatchesSparseCgWithBothPreconditioners) {
-  const StencilOperator op = random_stencil(6, 5, 4, 11);
-  const SparseMatrix csr = op.to_sparse();
-  const std::vector<double> b = random_vector(op.size(), 13);
-  for (const Preconditioner pre :
-       {Preconditioner::kJacobi, Preconditioner::kSsor}) {
-    std::vector<double> x_stencil, x_csr;
-    const CgOptions options{.tolerance = 1e-12, .preconditioner = pre};
-    const CgResult r1 = solve_cg(op, b, x_stencil, options);
-    const CgResult r2 = solve_cg(csr, b, x_csr, options);
-    EXPECT_LE(r1.residual, 1e-12);
-    EXPECT_LE(r2.residual, 1e-12);
-    for (std::size_t i = 0; i < op.size(); ++i) {
-      EXPECT_NEAR(x_stencil[i], x_csr[i], 1e-9);
+/// The package stack's shape: thin along z, with vertical conductances two
+/// orders of magnitude above the lateral ones and the only boundary sink
+/// on the top layer.
+StencilOperator stack_like_stencil(std::size_t nx, std::size_t ny,
+                                   std::size_t nz, unsigned seed) {
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<double> g_dist(0.1, 2.0);
+  StencilOperator op(nx, ny, nz);
+  for (std::size_t iz = 0; iz < nz; ++iz) {
+    for (std::size_t iy = 0; iy < ny; ++iy) {
+      for (std::size_t ix = 0; ix < nx; ++ix) {
+        const std::size_t i = op.cell_index(ix, iy, iz);
+        if (ix + 1 < nx) op.add_coupling(i, StencilBand::kXPlus, g_dist(rng));
+        if (iy + 1 < ny) op.add_coupling(i, StencilBand::kYPlus, g_dist(rng));
+        if (iz + 1 < nz) {
+          op.add_coupling(i, StencilBand::kZPlus, 100.0 * g_dist(rng));
+        } else {
+          op.add_to_diagonal(i, g_dist(rng));
+        }
+      }
+    }
+  }
+  return op;
+}
+
+TEST(StencilCg, MatchesDenseSolve) {
+  // SSOR-PCG against dense Gaussian elimination on a random SPD stencil
+  // and on a stack-shaped one, at the transient and steady ω.
+  for (const StencilOperator& op :
+       {random_stencil(6, 5, 4, 11), stack_like_stencil(7, 5, 3, 42)}) {
+    const std::vector<double> b = random_vector(op.size(), 13);
+    const std::vector<double> x_dense = solve_dense(to_dense(op), b);
+    for (const double omega : {1.5, 1.7}) {
+      std::vector<double> x;
+      const CgResult r =
+          solve_cg(op, b, x, {.tolerance = 1e-12, .ssor_omega = omega});
+      EXPECT_LE(r.residual, 1e-12);
+      for (std::size_t i = 0; i < op.size(); ++i) {
+        EXPECT_NEAR(x[i], x_dense[i], 1e-9 * (1.0 + std::abs(x_dense[i])))
+            << op.nx() << "x" << op.ny() << "x" << op.nz() << " omega "
+            << omega << " cell " << i;
+      }
     }
   }
 }
 
-TEST(StencilCg, SsorNeedsNoMoreIterationsThanJacobi) {
-  const StencilOperator op = random_stencil(8, 8, 6, 17);
-  const std::vector<double> b = random_vector(op.size(), 19);
-  std::vector<double> x_j, x_s;
-  const CgResult jacobi = solve_cg(
-      op, b, x_j, {.tolerance = 1e-10, .preconditioner = Preconditioner::kJacobi});
-  const CgResult ssor = solve_cg(
-      op, b, x_s, {.tolerance = 1e-10, .preconditioner = Preconditioner::kSsor});
-  EXPECT_LE(ssor.iterations, jacobi.iterations);
+TEST(StencilCg, NonSpdDiagonalThrows) {
+  StencilOperator op(2, 1, 1);
+  op.add_to_diagonal(0, -1.0);
+  op.add_to_diagonal(1, 1.0);
+  std::vector<double> x;
+  try {
+    (void)solve_cg(op, {1.0, 1.0}, x);
+    FAIL() << "expected InvariantError";
+  } catch (const InvariantError& e) {
+    EXPECT_NE(std::string(e.what()).find("solve_cg: non-positive diagonal"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(StencilCg, WarmStartAtExactSolutionConvergesInZeroIterations) {
@@ -324,12 +354,12 @@ TEST(ThreadPool, CgResultsAreIdenticalForOneAndManyThreads) {
   ThreadPool::set_global_thread_count(1);
   std::vector<double> x1;
   const CgResult r1 = solve_cg(
-      op, b, x1, {.tolerance = 1e-10, .preconditioner = Preconditioner::kSsor});
+      op, b, x1, {.tolerance = 1e-10});
 
   ThreadPool::set_global_thread_count(4);
   std::vector<double> x4;
   const CgResult r4 = solve_cg(
-      op, b, x4, {.tolerance = 1e-10, .preconditioner = Preconditioner::kSsor});
+      op, b, x4, {.tolerance = 1e-10});
   ThreadPool::set_global_thread_count(0);  // restore default
 
   EXPECT_EQ(r1.iterations, r4.iterations);
@@ -359,7 +389,7 @@ CgResult solve_with_threads(std::size_t threads, const StencilOperator& op,
                             std::vector<double>& x) {
   ThreadPool::set_global_thread_count(threads);
   return solve_cg(op, b, x,
-                  {.tolerance = 1e-10, .preconditioner = Preconditioner::kSsor});
+                  {.tolerance = 1e-10});
 }
 
 TEST(ThreadPool, CgAboveVectorGrainIsIdenticalForOneAndManyThreads) {
@@ -400,7 +430,7 @@ TEST(ThreadPool, CgNestedInParallelMapMatchesTopLevelSolve) {
           Solve solve;
           solve.stats = solve_cg(
               op, b, solve.x,
-              {.tolerance = 1e-10, .preconditioner = Preconditioner::kSsor});
+              {.tolerance = 1e-10});
           return solve;
         });
     ThreadPool::set_global_thread_count(0);  // restore default

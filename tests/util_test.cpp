@@ -1,10 +1,10 @@
-// Tests for tpcool::util — grids, linear solvers, root finding,
-// interpolation, statistics, CSV and table output.
+// Tests for tpcool::util — grids, the dense solver, root finding,
+// interpolation, CSV and table output. CG over the stencil operator is
+// covered by stencil_solver_test.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <random>
 #include <sstream>
 
 #include "tpcool/util/csv.hpp"
@@ -13,7 +13,6 @@
 #include "tpcool/util/interp.hpp"
 #include "tpcool/util/linear_solver.hpp"
 #include "tpcool/util/rootfind.hpp"
-#include "tpcool/util/statistics.hpp"
 #include "tpcool/util/table.hpp"
 
 namespace tpcool::util {
@@ -65,316 +64,7 @@ TEST(Grid2D, ApplyTransformsAllElements) {
   EXPECT_DOUBLE_EQ(grid_sum(g), 9 * 4.0);
 }
 
-// ----------------------------------------------------------- SparseMatrix --
-
-TEST(SparseMatrix, AccumulatesDuplicates) {
-  SparseMatrix m(2);
-  m.add(0, 0, 1.0);
-  m.add(0, 0, 2.0);
-  m.add(1, 1, 4.0);
-  m.finalize();
-  EXPECT_DOUBLE_EQ(m.coeff(0, 0), 3.0);
-  EXPECT_DOUBLE_EQ(m.coeff(1, 1), 4.0);
-  EXPECT_DOUBLE_EQ(m.coeff(0, 1), 0.0);
-  EXPECT_EQ(m.nonzeros(), 2u);
-}
-
-TEST(SparseMatrix, MultiplyMatchesHandComputed) {
-  SparseMatrix m(3);
-  m.add(0, 0, 2.0);
-  m.add(0, 2, -1.0);
-  m.add(1, 1, 3.0);
-  m.add(2, 0, -1.0);
-  m.add(2, 2, 2.0);
-  m.finalize();
-  std::vector<double> x{1.0, 2.0, 3.0}, y;
-  m.multiply(x, y);
-  EXPECT_DOUBLE_EQ(y[0], 2.0 - 3.0);
-  EXPECT_DOUBLE_EQ(y[1], 6.0);
-  EXPECT_DOUBLE_EQ(y[2], -1.0 + 6.0);
-}
-
-TEST(SparseMatrix, AddAfterFinalizeThrows) {
-  SparseMatrix m(2);
-  m.add(0, 0, 1.0);
-  m.finalize();
-  EXPECT_THROW(m.add(1, 1, 1.0), PreconditionError);
-}
-
-TEST(SparseMatrix, SymmetryCheck) {
-  SparseMatrix m(2);
-  m.add(0, 1, 1.0);
-  m.add(1, 0, 1.0);
-  m.add(0, 0, 2.0);
-  m.add(1, 1, 2.0);
-  m.finalize();
-  EXPECT_TRUE(m.is_symmetric());
-
-  SparseMatrix n(2);
-  n.add(0, 1, 1.0);
-  n.add(0, 0, 1.0);
-  n.add(1, 1, 1.0);
-  n.finalize();
-  EXPECT_FALSE(n.is_symmetric());
-}
-
-// --------------------------------------------------------------------- CG --
-
-TEST(SolveCg, SolvesIdentity) {
-  SparseMatrix m(3);
-  for (std::size_t i = 0; i < 3; ++i) m.add(i, i, 1.0);
-  m.finalize();
-  std::vector<double> b{1.0, -2.0, 3.0}, x;
-  solve_cg(m, b, x);
-  for (std::size_t i = 0; i < 3; ++i) EXPECT_NEAR(x[i], b[i], 1e-10);
-}
-
-TEST(SolveCg, MatchesDenseOnRandomSpd) {
-  // Random SPD system A = B^T B + n I, cross-checked against dense LU.
-  std::mt19937 rng(42);
-  std::uniform_real_distribution<double> dist(-1.0, 1.0);
-  constexpr std::size_t n = 12;
-  std::vector<double> b_mat(n * n);
-  for (auto& v : b_mat) v = dist(rng);
-  std::vector<double> a_dense(n * n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      double s = 0.0;
-      for (std::size_t k = 0; k < n; ++k) {
-        s += b_mat[k * n + i] * b_mat[k * n + j];
-      }
-      a_dense[i * n + j] = s + (i == j ? static_cast<double>(n) : 0.0);
-    }
-  }
-  SparseMatrix a(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) a.add(i, j, a_dense[i * n + j]);
-  }
-  a.finalize();
-  ASSERT_TRUE(a.is_symmetric(1e-12));
-
-  std::vector<double> rhs(n);
-  for (auto& v : rhs) v = dist(rng);
-  std::vector<double> x_cg;
-  solve_cg(a, rhs, x_cg, {.tolerance = 1e-12});
-  const std::vector<double> x_lu = solve_dense(a_dense, rhs);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x_cg[i], x_lu[i], 1e-8);
-}
-
-TEST(SolveCg, ZeroRhsGivesZero) {
-  SparseMatrix m(2);
-  m.add(0, 0, 1.0);
-  m.add(1, 1, 1.0);
-  m.finalize();
-  std::vector<double> x{5.0, 5.0};
-  const CgResult r = solve_cg(m, {0.0, 0.0}, x);
-  EXPECT_EQ(r.iterations, 0u);
-  EXPECT_DOUBLE_EQ(x[0], 0.0);
-}
-
-TEST(SolveCg, OneByOneSystem) {
-  SparseMatrix m(1);
-  m.add(0, 0, 5.0);
-  m.finalize();
-  std::vector<double> x;
-  const CgResult r = solve_cg(m, {10.0}, x);
-  EXPECT_NEAR(x[0], 2.0, 1e-12);
-  EXPECT_LE(r.iterations, 1u);
-}
-
-TEST(SolveCg, ExactWarmStartConvergesInZeroIterations) {
-  SparseMatrix m(2);
-  m.add(0, 0, 2.0);
-  m.add(1, 1, 4.0);
-  m.finalize();
-  std::vector<double> x{3.0, 0.5};  // exact solution of {6, 2}
-  const CgResult r = solve_cg(m, {6.0, 2.0}, x);
-  EXPECT_EQ(r.iterations, 0u);
-  EXPECT_DOUBLE_EQ(x[0], 3.0);
-  EXPECT_DOUBLE_EQ(x[1], 0.5);
-}
-
-TEST(SolveCg, SsorPreconditionerSolvesSparseSystem) {
-  constexpr std::size_t n = 30;
-  SparseMatrix m(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double diag = 0.3;
-    if (i > 0) {
-      m.add(i, i - 1, -1.0);
-      diag += 1.0;
-    }
-    if (i + 1 < n) {
-      m.add(i, i + 1, -1.0);
-      diag += 1.0;
-    }
-    m.add(i, i, diag);
-  }
-  m.finalize();
-  std::vector<double> b(n, 1.0), x_ssor, x_jacobi;
-  const CgResult ssor = solve_cg(
-      m, b, x_ssor,
-      {.tolerance = 1e-11, .preconditioner = Preconditioner::kSsor});
-  const CgResult jacobi = solve_cg(m, b, x_jacobi, {.tolerance = 1e-11});
-  EXPECT_LE(ssor.residual, 1e-11);
-  EXPECT_LE(ssor.iterations, jacobi.iterations);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x_ssor[i], x_jacobi[i], 1e-8);
-}
-
-TEST(SolveCg, NonConvergedThrowReportsIterations) {
-  constexpr std::size_t n = 50;
-  SparseMatrix m(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double diag = 1e-3;
-    if (i > 0) {
-      m.add(i, i - 1, -1.0);
-      diag += 1.0;
-    }
-    if (i + 1 < n) {
-      m.add(i, i + 1, -1.0);
-      diag += 1.0;
-    }
-    m.add(i, i, diag);
-  }
-  m.finalize();
-  std::vector<double> x;
-  try {
-    (void)solve_cg(m, std::vector<double>(n, 1.0), x,
-                   {.tolerance = 1e-15, .max_iterations = 3});
-    FAIL() << "expected ConvergenceError";
-  } catch (const ConvergenceError& e) {
-    EXPECT_NE(std::string(e.what()).find("after 3 iterations"),
-              std::string::npos)
-        << e.what();
-  }
-}
-
-TEST(SolveCg, NonSpdDiagonalThrows) {
-  SparseMatrix m(2);
-  m.add(0, 0, -1.0);
-  m.add(1, 1, 1.0);
-  m.finalize();
-  std::vector<double> x;
-  EXPECT_THROW(solve_cg(m, {1.0, 1.0}, x), InvariantError);
-}
-
-// -------------------------------------------------------------------- SOR --
-
-TEST(SolveSor, SolvesIdentity) {
-  SparseMatrix m(3);
-  for (std::size_t i = 0; i < 3; ++i) m.add(i, i, 2.0);
-  m.finalize();
-  std::vector<double> x;
-  solve_sor(m, {2.0, -4.0, 6.0}, x);
-  EXPECT_NEAR(x[0], 1.0, 1e-8);
-  EXPECT_NEAR(x[1], -2.0, 1e-8);
-  EXPECT_NEAR(x[2], 3.0, 1e-8);
-}
-
-TEST(SolveSor, AgreesWithCgOnLaplacianLikeSystem) {
-  // 1D diffusion chain with Dirichlet-ish end terms: the same structure as
-  // one row of the thermal operator.
-  constexpr std::size_t n = 40;
-  SparseMatrix m(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double diag = 0.2;  // boundary leak keeps the system SPD
-    if (i > 0) {
-      m.add(i, i - 1, -1.0);
-      diag += 1.0;
-    }
-    if (i + 1 < n) {
-      m.add(i, i + 1, -1.0);
-      diag += 1.0;
-    }
-    m.add(i, i, diag);
-  }
-  m.finalize();
-  std::vector<double> b(n, 0.0);
-  b[n / 2] = 5.0;
-  std::vector<double> x_cg, x_sor;
-  solve_cg(m, b, x_cg, {.tolerance = 1e-11});
-  solve_sor(m, b, x_sor, {.relaxation = 1.6, .tolerance = 1e-11});
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x_sor[i], x_cg[i], 1e-7);
-}
-
-TEST(SolveSor, GaussSeidelIsOmegaOne) {
-  SparseMatrix m(2);
-  m.add(0, 0, 4.0);
-  m.add(0, 1, 1.0);
-  m.add(1, 0, 1.0);
-  m.add(1, 1, 3.0);
-  m.finalize();
-  std::vector<double> x;
-  const CgResult r = solve_sor(m, {1.0, 2.0}, x, {.relaxation = 1.0});
-  EXPECT_LE(r.residual, 1e-9);
-  // Check against the dense solution.
-  const auto exact = solve_dense({4.0, 1.0, 1.0, 3.0}, {1.0, 2.0});
-  EXPECT_NEAR(x[0], exact[0], 1e-7);
-  EXPECT_NEAR(x[1], exact[1], 1e-7);
-}
-
-TEST(SolveSor, ZeroRhsGivesZero) {
-  SparseMatrix m(2);
-  m.add(0, 0, 1.0);
-  m.add(1, 1, 1.0);
-  m.finalize();
-  std::vector<double> x{5.0, -5.0};
-  const CgResult r = solve_sor(m, {0.0, 0.0}, x);
-  EXPECT_EQ(r.iterations, 0u);
-  EXPECT_DOUBLE_EQ(x[0], 0.0);
-  EXPECT_DOUBLE_EQ(x[1], 0.0);
-}
-
-TEST(SolveSor, OneByOneSystem) {
-  SparseMatrix m(1);
-  m.add(0, 0, 2.0);
-  m.finalize();
-  std::vector<double> x;
-  // Gauss-Seidel (ω = 1) lands exactly in one sweep; the first residual
-  // check happens after the 4-sweep block.
-  const CgResult r = solve_sor(m, {6.0}, x, {.relaxation = 1.0});
-  EXPECT_NEAR(x[0], 3.0, 1e-9);
-  EXPECT_LE(r.iterations, 4u);
-}
-
-TEST(SolveSor, ExactWarmStartConvergesInZeroIterations) {
-  SparseMatrix m(2);
-  m.add(0, 0, 4.0);
-  m.add(0, 1, 1.0);
-  m.add(1, 0, 1.0);
-  m.add(1, 1, 3.0);
-  m.finalize();
-  const auto exact = solve_dense({4.0, 1.0, 1.0, 3.0}, {1.0, 2.0});
-  std::vector<double> x = exact;
-  const CgResult r = solve_sor(m, {1.0, 2.0}, x, {.tolerance = 1e-8});
-  EXPECT_EQ(r.iterations, 0u);
-  EXPECT_EQ(x, exact);  // untouched
-}
-
-TEST(SolveSor, RejectsBadRelaxation) {
-  SparseMatrix m(1);
-  m.add(0, 0, 1.0);
-  m.finalize();
-  std::vector<double> x;
-  EXPECT_THROW(solve_sor(m, {1.0}, x, {.relaxation = 0.0}),
-               PreconditionError);
-  EXPECT_THROW(solve_sor(m, {1.0}, x, {.relaxation = 2.0}),
-               PreconditionError);
-}
-
-TEST(SparseMatrix, RowVisitor) {
-  SparseMatrix m(3);
-  m.add(1, 0, 2.0);
-  m.add(1, 2, 3.0);
-  m.finalize();
-  double sum = 0.0;
-  std::size_t count = 0;
-  m.for_each_in_row(1, [&](std::size_t col, double v) {
-    sum += v * static_cast<double>(col + 1);
-    ++count;
-  });
-  EXPECT_EQ(count, 2u);
-  EXPECT_DOUBLE_EQ(sum, 2.0 * 1.0 + 3.0 * 3.0);
-}
+// ------------------------------------------------------------ solve_dense --
 
 TEST(SolveDense, SingularThrows) {
   EXPECT_THROW(solve_dense({1.0, 2.0, 2.0, 4.0}, {1.0, 2.0}), InvariantError);
@@ -437,31 +127,6 @@ TEST(Clamp, Bounds) {
   EXPECT_DOUBLE_EQ(clamp(-5.0, 0.0, 1.0), 0.0);
   EXPECT_DOUBLE_EQ(clamp(0.5, 0.0, 1.0), 0.5);
   EXPECT_THROW((void)clamp(0.0, 1.0, 0.0), PreconditionError);
-}
-
-// ------------------------------------------------------------- statistics --
-
-TEST(Statistics, Summary) {
-  const std::vector<double> v{1.0, 2.0, 3.0, 4.0};
-  const Summary s = summarize(v);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 4.0);
-  EXPECT_DOUBLE_EQ(s.mean, 2.5);
-  EXPECT_NEAR(s.stddev, std::sqrt(1.25), 1e-12);
-  EXPECT_EQ(s.count, 4u);
-}
-
-TEST(Statistics, Percentile) {
-  const std::vector<double> v{4.0, 1.0, 3.0, 2.0};
-  EXPECT_DOUBLE_EQ(percentile(v, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 100.0), 4.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 50.0), 2.5);
-}
-
-TEST(Statistics, EmptyThrows) {
-  const std::vector<double> v;
-  EXPECT_THROW((void)summarize(v), PreconditionError);
-  EXPECT_THROW((void)mean(v), PreconditionError);
 }
 
 // -------------------------------------------------------------------- csv --
