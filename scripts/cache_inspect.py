@@ -4,13 +4,14 @@
 Usage:
     cache_inspect.py PATH [--verify]
 
-PATH is a segmented v3 manifest (written by SolveCache::save; segments
+PATH is a segmented v4 manifest (written by SolveCache::save; segments
 live next to it as PATH.seg0000, PATH.seg0001, ...).  The byte layouts
 are defined in src/tpcool/core/cache_segment_io.cpp and documented in
 docs/CACHE.md; this script is an independent Python reimplementation of
 the readers, so CI can sanity-check the files the bench chain persists.
 
-Default output: schema version, segment count, total entries, per-shard
+Default output: schema version, model fingerprint, segment count, total
+entries, per-shard
 (= per-segment) entry counts and byte sizes, total on-disk size, and the
 order-insensitive content digest (the same value
 SolveCache::content_digest reports after loading the snapshot).
@@ -19,7 +20,10 @@ SolveCache::content_digest reports after loading the snapshot).
 versions, trailing FNV-1a stream digests, manifest/segment digest
 agreement (mixed snapshot generations), segment index/count/entry-count
 fields, per-entry key digests, digest-range membership of every key, and
-exact byte sizes — and exits non-zero on the first corruption.
+exact byte sizes — and exits non-zero on the first corruption.  The
+model fingerprint is printed, not checked: whether it matches the
+current model constants is a question only the library can answer
+(SolveCache::model_fingerprint; load() refuses a mismatch).
 
 Exit status: 0 = OK, 1 = corruption (--verify), 2 = bad invocation or an
 unreadable/undecodable file.
@@ -31,7 +35,7 @@ import sys
 
 MANIFEST_MAGIC = b"TPCOOLSM"
 SEGMENT_MAGIC = b"TPCOOLSG"
-SEGMENTED_VERSION = 3
+SEGMENTED_VERSION = 4
 
 # util/fnv.hpp's pinned constants (the offset basis is the repo's own
 # value, not the textbook FNV-1a one — it is part of the on-disk format).
@@ -167,6 +171,7 @@ def load_manifest(path, blob):
     if version != SEGMENTED_VERSION:
         raise CorruptSnapshot(f"{path}: schema version {version}, "
                               f"expected {SEGMENTED_VERSION}")
+    fingerprint = cursor.u64("model fingerprint")
     seg_count = cursor.u64("segment count")
     if not 1 <= seg_count <= 4096 or seg_count & (seg_count - 1):
         raise CorruptSnapshot(
@@ -182,7 +187,7 @@ def load_manifest(path, blob):
     if sum(s["entry_count"] for s in segments) != total:
         raise CorruptSnapshot(
             f"{path}: segment entry counts do not sum to {total}")
-    return total, segments
+    return fingerprint, total, segments
 
 
 def content_digest(entries):
@@ -194,7 +199,7 @@ def content_digest(entries):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("path", help="snapshot manifest (v3)")
+    parser.add_argument("path", help="snapshot manifest (v4)")
     parser.add_argument("--verify", action="store_true",
                         help="exit non-zero on any corruption")
     args = parser.parse_args()
@@ -208,9 +213,10 @@ def main():
 
     try:
         if blob[:8] == MANIFEST_MAGIC:
-            total, segments = load_manifest(args.path, blob)
+            fingerprint, total, segments = load_manifest(args.path, blob)
             print(f"{args.path}: segmented snapshot "
                   f"(schema v{SEGMENTED_VERSION})")
+            print(f"  fingerprint:    {fingerprint:#018x}")
             print(f"  segments:       {len(segments)}")
             print(f"  entries:        {total}")
             entries = []

@@ -11,6 +11,7 @@
 #include <sstream>
 #include <utility>
 
+#include "tpcool/core/solve_cache.hpp"
 #include "tpcool/util/error.hpp"
 #include "tpcool/util/fnv.hpp"
 
@@ -18,18 +19,19 @@ namespace tpcool::core::cache_io {
 
 // ------------------------------------------------------------- formats --
 //
-// Segmented snapshot (v3): a manifest plus one segment file per shard
+// Segmented snapshot (v4): a manifest plus one segment file per shard
 // digest-range (segment i holds exactly the keys whose FNV-1a digest's top
 // log2(count) bits equal i).
 //
 //   manifest ("TPCOOLSM"):
-//     magic, u32 version (3), u64 segment count (power of two),
+//     magic, u32 version (4), u64 model fingerprint,
+//     u64 segment count (power of two),
 //     u64 total entry count,
 //     per segment: u64 entry count, u64 byte size, u64 stream digest,
 //     u64 trailing FNV-1a digest of every preceding byte
 //
 //   segment ("TPCOOLSG", file <manifest>.seg%04zu):
-//     magic, u32 version (3), u64 segment index, u64 segment count,
+//     magic, u32 version (4), u64 segment index, u64 segment count,
 //     u64 entry count,
 //     entry* (MRU -> LRU): u64 key digest, u64 key length + bytes,
 //                          f64 cost_ms, u64 payload length + bytes
@@ -45,7 +47,8 @@ namespace {
 constexpr char kManifestMagic[8] = {'T', 'P', 'C', 'O', 'O', 'L', 'S', 'M'};
 constexpr char kSegmentMagic[8] = {'T', 'P', 'C', 'O', 'O', 'L', 'S', 'G'};
 
-constexpr std::uint32_t kSegmentedVersion = 3;
+/// The schema version both encoders write and both decoders require.
+constexpr std::uint32_t kSegmentedVersion = SolveCache::kSnapshotVersion;
 
 /// Hard ceiling on segment counts accepted from disk; far above any real
 /// shard configuration, low enough that a hostile manifest cannot demand
@@ -399,12 +402,14 @@ std::string SegmentEncoder::finish() && {
   return std::move(blob_);
 }
 
-std::string encode_manifest(const std::vector<SegmentInfo>& segments) {
+std::string encode_manifest(const std::vector<SegmentInfo>& segments,
+                            std::uint64_t fingerprint) {
   TPCOOL_REQUIRE(!segments.empty() && std::has_single_bit(segments.size()),
                  "manifest needs a power-of-two segment count");
   std::string blob;
   blob.append(kManifestMagic, sizeof(kManifestMagic));
   put_u32(blob, kSegmentedVersion);
+  put_u64(blob, fingerprint);
   put_u64(blob, segments.size());
   std::uint64_t total = 0;
   for (const SegmentInfo& segment : segments) total += segment.entry_count;
@@ -436,6 +441,7 @@ Manifest decode_manifest(const std::string& blob, const std::string& origin) {
         std::to_string(manifest.version) + "; this build reads only version " +
         std::to_string(kSegmentedVersion) + " — delete it and re-warm");
   }
+  manifest.fingerprint = cursor.u64();
   const std::uint64_t segment_count = cursor.u64();
   if (segment_count == 0 || segment_count > kMaxSegments ||
       !std::has_single_bit(segment_count)) {

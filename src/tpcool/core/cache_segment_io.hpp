@@ -1,6 +1,6 @@
 #pragma once
 /// \file cache_segment_io.hpp
-/// \brief On-disk format of the solve-cache: the segmented v3 snapshot
+/// \brief On-disk format of the solve-cache: the segmented snapshot
 ///        (manifest + one segment file per shard digest-range).
 ///
 /// The formats are versioned, endian-safe binary (all integers
@@ -54,6 +54,7 @@ struct SegmentInfo {
 /// Parsed manifest of a segmented snapshot.
 struct Manifest {
   std::uint32_t version = 0;
+  std::uint64_t fingerprint = 0;  ///< SolveCache::model_fingerprint() at save.
   std::uint64_t total_entries = 0;
   std::vector<SegmentInfo> segments;  ///< Index = shard digest-range index.
 };
@@ -118,9 +119,10 @@ class SegmentEncoder {
 };
 
 /// Encode the manifest for `segments` (byte sizes, entry counts and stream
-/// digests must describe the already-encoded segment files).
+/// digests must describe the already-encoded segment files), stamped with
+/// the model `fingerprint` the entries were computed under.
 [[nodiscard]] std::string encode_manifest(
-    const std::vector<SegmentInfo>& segments);
+    const std::vector<SegmentInfo>& segments, std::uint64_t fingerprint);
 
 // ------------------------------------------------------------- decoding --
 

@@ -1,5 +1,6 @@
 #include "tpcool/core/server.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -34,6 +35,13 @@ util::Grid2D<double> uniform_footprint_heat(const thermal::StackModel& stack,
     }
   }
   return heat;
+}
+
+/// CG tolerance of a non-final coupling pass, from the max-norm field
+/// change of the pass before it (negative: not known yet).
+double forcing_tolerance(double delta_c) {
+  if (delta_c < 0.0) return kForcingCeiling;
+  return std::clamp(kForcingFactor * delta_c, kForcingFloor, kForcingCeiling);
 }
 
 }  // namespace
@@ -128,6 +136,8 @@ SimulationResult ServerModel::coupled_solve(
   const bool warm = reuse_state && config_.reuse_thermal_state;
   std::vector<double> t = warm ? last_temperature_ : std::vector<double>{};
   thermosyphon::ThermosyphonState syphon_state;
+  double delta_c = -1.0;  // max-norm field change of the previous pass
+  std::size_t cg_iterations = 0;
 
   for (int it = 0; it < config_.coupling_iterations; ++it) {
     syphon_state = syphon_.solve(evap_heat, config_.operating_point);
@@ -135,7 +145,19 @@ SimulationResult ServerModel::coupled_solve(
     top.htc_w_m2k = syphon_state.htc_map;
     top.fluid_temp_c = syphon_state.fluid_temp_map;
     thermal_.set_top_boundary(std::move(top));
-    t = thermal_.solve_steady(t);
+    // Non-final passes only shape the next heat map: solve them no more
+    // accurately than the fixed point is currently moving.
+    const bool last = it + 1 == config_.coupling_iterations;
+    std::vector<double> next = thermal_.solve_steady(
+        t, last ? thermal::kSteadyCgTolerance : forcing_tolerance(delta_c));
+    cg_iterations += thermal_.last_solve_stats().iterations;
+    if (!last && t.size() == next.size()) {
+      delta_c = 0.0;
+      for (std::size_t i = 0; i < t.size(); ++i) {
+        delta_c = std::max(delta_c, std::abs(next[i] - t[i]));
+      }
+    }
+    t = std::move(next);
 
     // Feed back the actual per-cell evaporator heat (clamp the handful of
     // fringe cells that can run slightly negative at low loads).
@@ -151,6 +173,7 @@ SimulationResult ServerModel::coupled_solve(
            static_cast<double>(config_.coupling_iterations));
   span.arg("power_w", total_w);
   span.arg("warm", warm ? 1.0 : 0.0);
+  span.arg("cg_iterations", static_cast<double>(cg_iterations));
 
   SimulationResult result;
   result.syphon = std::move(syphon_state);

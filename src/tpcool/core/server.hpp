@@ -20,6 +20,26 @@ namespace tpcool::core {
 
 class SolveCache;
 
+/// Forcing-term CG tolerances of the steady coupling loop (Eisenstat &
+/// Walker, SIAM J. Sci. Comput. 1996).  Every pass but the last only feeds
+/// the next pass's evaporator heat map, so it solves to
+/// clamp(kForcingFactor · Δ, kForcingFloor, kForcingCeiling), where Δ is
+/// the max-norm field change of the previous pass [°C]; kForcingCeiling
+/// while no Δ is known.  The last pass solves to
+/// thermal::kSteadyCgTolerance, which no pass undercuts.
+inline constexpr double kForcingFactor = 1e-4;
+inline constexpr double kForcingFloor = thermal::kSteadyCgTolerance;
+inline constexpr double kForcingCeiling = 1e-3;
+
+/// Pass cap of the transient engine's per-trial coupling loop
+/// (datacenter/transient.cpp explains why the loop exists).
+inline constexpr int kTransientCouplingPasses = 8;
+/// Under-relaxation of the evaporator heat-map update in that loop.
+inline constexpr double kTransientCouplingRelaxation = 0.5;
+/// That loop stops early once successive trial fields agree to this
+/// fraction of the step tolerance.
+inline constexpr double kTransientCouplingAgreement = 0.1;
+
 /// Server construction parameters.
 struct ServerConfig {
   thermal::PackageStackConfig stack;            ///< Package + grid geometry.

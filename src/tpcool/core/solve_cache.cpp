@@ -13,6 +13,9 @@
 #include <utility>
 #include <vector>
 
+#include "tpcool/materials/refrigerant.hpp"
+#include "tpcool/materials/solid.hpp"
+#include "tpcool/materials/water.hpp"
 #include "tpcool/util/error.hpp"
 #include "tpcool/util/fnv.hpp"
 #include "tpcool/util/logging.hpp"
@@ -166,7 +169,8 @@ void SolveCache::save(const std::string& path) const {
   // landed.  (A reader racing a rewrite can catch a new segment under an
   // old manifest — the manifest-recorded segment digests make that a
   // detected cold start, never silent corruption.)
-  const std::string manifest = cache_io::encode_manifest(infos);
+  const std::string manifest =
+      cache_io::encode_manifest(infos, model_fingerprint());
   cache_io::write_file_atomic(path, manifest);
 
   // A previous save with more shards leaves higher-index segment files
@@ -203,6 +207,20 @@ void SolveCache::load(const std::string& path) {
   std::vector<cache_io::SnapshotEntry> entries;
   if (cache_io::is_manifest(blob)) {
     const cache_io::Manifest manifest = cache_io::decode_manifest(blob, path);
+    if (manifest.fingerprint != model_fingerprint()) {
+      if (util::telemetry_enabled()) {
+        static util::TelemetryCounter& mismatches =
+            util::Telemetry::instance().counter("cache.fingerprint_mismatch");
+        mismatches.add(1.0);
+      }
+      util::log_warn() << "refusing solve-cache snapshot " << path
+                       << ": it was computed under another model (fingerprint "
+                       << manifest.fingerprint << ", this build "
+                       << model_fingerprint() << ")";
+      throw SnapshotError("solve-cache snapshot " + path +
+                          " has a stale model fingerprint — delete it and "
+                          "re-warm");
+    }
     const std::size_t segment_count = manifest.segments.size();
     for (std::size_t i = 0; i < segment_count; ++i) {
       const std::string segment_file = cache_io::segment_path(path, i);
@@ -225,6 +243,57 @@ void SolveCache::load(const std::string& path) {
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     shards_[i]->absorb(std::move(buckets[i]));
   }
+}
+
+std::uint64_t SolveCache::model_fingerprint() {
+  using util::fnv_f64;
+  using util::fnv_string;
+  using util::fnv_u64;
+  std::uint64_t digest = util::kFnvOffsetBasis;
+  fnv_u64(digest, kSnapshotVersion);
+  for (const double value :
+       {thermal::kSteadyCgTolerance, thermal::kSteadySsorOmega,
+        thermal::kTransientCgTolerance, thermal::kTransientSsorOmega,
+        kForcingFactor, kForcingFloor, kForcingCeiling,
+        kTransientCouplingRelaxation, kTransientCouplingAgreement}) {
+    fnv_f64(digest, value);
+  }
+  fnv_u64(digest,
+          static_cast<std::uint64_t>(ServerConfig{}.coupling_iterations));
+  fnv_u64(digest, static_cast<std::uint64_t>(kTransientCouplingPasses));
+  for (const materials::SolidMaterial* solid :
+       {&materials::silicon(), &materials::copper(),
+        &materials::tim_high_performance(), &materials::tim_grease(),
+        &materials::package_substrate(), &materials::gap_filler()}) {
+    fnv_string(digest, solid->name);
+    fnv_f64(digest, solid->conductivity_w_mk);
+    fnv_f64(digest, solid->density_kg_m3);
+    fnv_f64(digest, solid->specific_heat_j_kgk);
+  }
+  for (const materials::Refrigerant* fluid :
+       {&materials::r236fa(), &materials::r134a(), &materials::r245fa()}) {
+    const materials::RefrigerantSpec& spec = fluid->spec();
+    fnv_string(digest, spec.name);
+    for (const double value :
+         {spec.molar_mass_g_mol, spec.critical_temp_c,
+          spec.critical_pressure_pa, spec.anchor_t_c[0], spec.anchor_t_c[1],
+          spec.anchor_t_c[2], spec.anchor_p_pa[0], spec.anchor_p_pa[1],
+          spec.anchor_p_pa[2], spec.latent_heat_25c_j_kg,
+          spec.liquid_density_25c_kg_m3, spec.liquid_density_slope,
+          spec.liquid_viscosity_25c_pa_s, spec.liquid_conductivity_w_mk,
+          spec.liquid_cp_j_kgk, spec.surface_tension_25c_n_m}) {
+      fnv_f64(digest, value);
+    }
+  }
+  // The water fits are closed-form; sample them across their 5-60 °C range.
+  for (double t_c = 5.0; t_c <= 60.0; t_c += 5.0) {
+    const materials::WaterProperties water = materials::water_at(t_c);
+    fnv_f64(digest, water.density_kg_l);
+    fnv_f64(digest, water.specific_heat_j_kgk);
+    fnv_f64(digest, water.conductivity_w_mk);
+    fnv_f64(digest, water.viscosity_pa_s);
+  }
+  return digest;
 }
 
 std::uint64_t SolveCache::content_digest() const {

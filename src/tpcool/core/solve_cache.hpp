@@ -85,7 +85,18 @@ class SolveCache {
   /// v2: SimulationResult gained the transient-segment payload.
   /// v3: segmented format (manifest + one segment per shard digest-range)
   ///     and per-entry observed solve costs.
-  static constexpr std::uint32_t kSnapshotVersion = 3;
+  /// v4: the manifest carries model_fingerprint(); forcing-term coupling
+  ///     tolerances and warm-started transient passes changed result bits.
+  static constexpr std::uint32_t kSnapshotVersion = 4;
+
+  /// FNV-1a hash over a canonical list of every model constant that sets
+  /// result bits: the steady and transient CG tolerances and SSOR ω, the
+  /// forcing-term constants, the default coupling pass count, the
+  /// transient coupling cap, relaxation and agreement test, the solid,
+  /// refrigerant and water property tables, and kSnapshotVersion.  save()
+  /// writes it into the manifest; load() refuses a snapshot that carries a
+  /// different one, so a snapshot never serves results of other physics.
+  [[nodiscard]] static std::uint64_t model_fingerprint();
 
   /// `shards` must be 0 (auto: default_shard_count()) or is rounded up to
   /// the next power of two.  Tests that pin eviction order or exact sizes
@@ -159,14 +170,16 @@ class SolveCache {
   /// runs surface growth early.
   void save(const std::string& path) const;
 
-  /// Merge the snapshot at `path` (a segmented v3 manifest + its segment
+  /// Merge the snapshot at `path` (a segmented manifest + its segment
   /// files) into this cache.  Every file is fully validated *before* the
   /// cache is touched.  Loaded entries join behind the existing ones in
   /// saved recency order, re-striped by this cache's own shard count
   /// (existing keys win; values for one key are identical by construction)
   /// and the usual capacity eviction applies.  Hit/miss counters are not
   /// touched.  Throws SnapshotError — never UB — on unreadable, truncated,
-  /// corrupt, or schema-mismatched files.
+  /// corrupt, or schema-mismatched files.  A snapshot whose manifest
+  /// fingerprint differs from model_fingerprint() is refused whole, with a
+  /// logged warning and a `cache.fingerprint_mismatch` count.
   void load(const std::string& path);
 
   /// Order-insensitive digest over all entries: the wrapping sum of

@@ -24,26 +24,22 @@ namespace {
 /// integrates independently.
 constexpr std::size_t kSegmentGrain = 1;
 
-/// Inner thermosyphon-coupling iterations per adaptive trial step (the
-/// transient analogue of ServerModel::coupled_solve's fixed point).  A
-/// boundary lagged one whole step behind sustains a discrete limit cycle
-/// on high-power segments — the boiling HTC's strong heat-flux feedback
-/// re-excites the package's fast surface mode at every commit, which puts
-/// a dt-independent floor under the step-doubling error estimate and
-/// locks the controller at millisecond steps.  Converging the boundary
-/// against the trial's end state (the two committed half steps) breaks
-/// the cycle; iteration stops early once successive trial fields agree to
-/// a tenth of the step tolerance.  Converging it against the full step
-/// instead, and taking the half steps once afterwards, brings the cycle
-/// back.
-constexpr int kCouplingIterations = 8;
-
-/// Under-relaxation factor for the evaporator heat-map update inside the
-/// coupling loop.  At high heat flux the boiling HTC's feedback loop has
-/// gain above one, so plain substitution oscillates between two boundary
-/// states instead of converging; averaging successive heat maps halves
-/// the effective gain and makes the iteration contract.
-constexpr double kCouplingRelaxation = 0.5;
+// Inner thermosyphon coupling per adaptive trial step (the transient
+// analogue of ServerModel::coupled_solve's fixed point; its pass cap,
+// relaxation and agreement test are the core::kTransientCoupling*
+// constants).  A boundary lagged one whole step behind sustains a
+// discrete limit cycle on high-power segments — the boiling HTC's strong
+// heat-flux feedback re-excites the package's fast surface mode at every
+// commit, which puts a dt-independent floor under the step-doubling
+// error estimate and locks the controller at millisecond steps.  Converging the boundary against the trial's end
+// state (the two committed half steps) breaks the cycle; iteration stops
+// early once successive trial fields agree to a tenth of the step
+// tolerance.  Converging it against the full step instead, and taking the
+// half steps once afterwards, brings the cycle back.  The heat-map update
+// is under-relaxed: at high heat flux the boiling HTC's feedback loop has
+// gain above one, so plain substitution oscillates between two boundary
+// states instead of converging; averaging successive heat maps halves the
+// effective gain and makes the iteration contract.
 
 double max_abs_diff(const std::vector<double>& a,
                     const std::vector<double>& b) {
@@ -140,6 +136,8 @@ core::SimulationResult integrate_segment(core::ApproachPipeline& pipeline,
   thermal::StepController controller(config.step_control);
   std::size_t coupling_passes = 0;  // adaptive passes, 2 solves each
   std::size_t linear_solves = 0;    // backward-Euler CG solves
+  // Trials that hit the pass cap without meeting the agreement test.
+  std::size_t capped_trials = 0;
 
   while (seg.sim_time_s < task.duration_s) {
     const double remaining_s = task.duration_s - seg.sim_time_s;
@@ -156,42 +154,52 @@ core::SimulationResult integrate_segment(core::ApproachPipeline& pipeline,
     } else {
       // Adaptive: shrink the proposal until the step-doubling estimate
       // passes.  Each trial converges the boundary against its own end
-      // state, the two committed half steps (see kCouplingIterations), so
-      // the estimate measures the segment's real dynamics, not
-      // boundary-lag noise.
+      // state, the two committed half steps (see the coupling note at the
+      // top of this file), so the estimate measures the segment's real
+      // dynamics, not boundary-lag noise.
       while (true) {
         dt_s = controller.propose(remaining_s);
         const double half_dt_s = 0.5 * dt_s;
+        // Every CG starts from the nearest field at hand: a pass's first
+        // half step from the previous pass's first half step, its second
+        // from the previous pass's trial end, and the full step from this
+        // trial's end.  The guesses change no step beyond the CG
+        // tolerance.
+        std::vector<double> half = t;
         std::vector<double> trial;
         std::vector<double> prev_trial;
         util::Grid2D<double> trial_heat = evap_heat;
-        for (int k = 0; k < kCouplingIterations; ++k) {
+        bool agreed = false;
+        for (int k = 0; k < core::kTransientCouplingPasses; ++k) {
           set_boundary(trial_heat);
-          trial = t;
-          thermal.step_transient(trial, half_dt_s);
-          thermal.step_transient(trial, half_dt_s);
+          thermal.step_transient(t, half, half_dt_s);
+          if (k == 0) trial = half;
+          thermal.step_transient(half, trial, half_dt_s);
           ++coupling_passes;
           linear_solves += 2;
           const util::Grid2D<double> next_heat = clamped_top_heat(trial);
           for (std::size_t i = 0; i < trial_heat.data().size(); ++i) {
-            trial_heat.data()[i] += kCouplingRelaxation *
+            trial_heat.data()[i] += core::kTransientCouplingRelaxation *
                                     (next_heat.data()[i] -
                                      trial_heat.data()[i]);
           }
           if (!prev_trial.empty() &&
               max_abs_diff(trial, prev_trial) <=
-                  0.1 * config.step_control.tolerance_c) {
+                  core::kTransientCouplingAgreement *
+                      config.step_control.tolerance_c) {
+            agreed = true;
             break;
           }
           prev_trial = trial;
         }
+        if (!agreed) ++capped_trials;
         // The full step of the step doubling, once per trial, under the
         // boundary the last pass set (the relaxed heat map is not applied):
         // a step depends on nothing but its operands, so this is the full
         // step that pass would have taken.  Backward Euler is first order,
         // so the estimate scales as dt².
-        std::vector<double> full = t;
-        thermal.step_transient(full, dt_s);
+        std::vector<double> full = trial;
+        thermal.step_transient(t, full, dt_s);
         ++linear_solves;
         const double error_c = max_abs_diff(full, trial);
         if (controller.evaluate(dt_s, error_c)) {
@@ -225,10 +233,14 @@ core::SimulationResult integrate_segment(core::ApproachPipeline& pipeline,
   span.arg("rejected_steps", static_cast<double>(seg.rejected_steps));
   span.arg("coupling_passes", static_cast<double>(coupling_passes));
   span.arg("linear_solves", static_cast<double>(linear_solves));
+  span.arg("capped_trials", static_cast<double>(capped_trials));
   if (util::telemetry_enabled()) {
     static util::TelemetryCounter& passes =
         util::Telemetry::instance().counter("transient.coupling_passes");
+    static util::TelemetryCounter& capped =
+        util::Telemetry::instance().counter("transient.coupling_capped");
     passes.add(static_cast<double>(coupling_passes));
+    capped.add(static_cast<double>(capped_trials));
   }
   return result;
 }

@@ -41,6 +41,8 @@ class Refrigerant {
   explicit Refrigerant(const RefrigerantSpec& spec);
 
   [[nodiscard]] const std::string& name() const noexcept { return spec_.name; }
+  /// The anchor data this evaluator was built from.
+  [[nodiscard]] const RefrigerantSpec& spec() const noexcept { return spec_; }
   [[nodiscard]] double molar_mass_g_mol() const noexcept {
     return spec_.molar_mass_g_mol;
   }

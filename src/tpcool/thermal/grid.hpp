@@ -18,6 +18,16 @@
 
 namespace tpcool::thermal {
 
+/// Relative CG residual of a committed steady solve (the default of
+/// ThermalModel::solve_steady; non-final coupling passes pass a looser one).
+inline constexpr double kSteadyCgTolerance = 1e-8;
+/// SSOR relaxation of the steady solve (swept empirically).
+inline constexpr double kSteadySsorOmega = 1.7;
+/// Relative CG residual of every backward-Euler step.
+inline constexpr double kTransientCgTolerance = 1e-9;
+/// SSOR relaxation of the backward-Euler step solve.
+inline constexpr double kTransientSsorOmega = 1.5;
+
 /// Convective boundary on the top surface: per-cell heat-transfer coefficient
 /// and per-cell fluid temperature (the thermosyphon writes both).
 struct TopBoundary {
@@ -60,9 +70,11 @@ class ThermalModel {
   void set_bottom_boundary(double htc_w_m2k, double ambient_c);
 
   /// Solve steady state G·T = P; returns the temperature of every cell [°C].
-  /// `hint` (if non-empty) warm-starts the CG iteration.
+  /// `hint` (if non-empty) warm-starts the CG iteration, which stops at the
+  /// relative residual `tolerance`.
   [[nodiscard]] std::vector<double> solve_steady(
-      const std::vector<double>& hint = {}) const;
+      const std::vector<double>& hint = {},
+      double tolerance = kSteadyCgTolerance) const;
 
   /// The steady conductance operator G, assembled on demand from the
   /// current boundary state (solver microbenchmarks time kernels on it).
@@ -75,10 +87,20 @@ class ThermalModel {
   }
 
   /// Advance one backward-Euler step of length `dt_s` from state `t`
-  /// (modified in place).  The result depends only on `t`, `dt_s` and the
-  /// current boundary and power state, never on earlier calls, so a step
-  /// doubling may take its full and half steps in either order.
-  void step_transient(std::vector<double>& t, double dt_s) const;
+  /// (modified in place; the CG starts from `t`).  The result depends only
+  /// on `t`, `dt_s` and the current boundary and power state, never on
+  /// earlier calls, so a step doubling may take its full and half steps in
+  /// either order.
+  void step_transient(std::vector<double>& t, double dt_s) const {
+    step_transient(t, t, dt_s);
+  }
+
+  /// The same step from state `from` into `t`, whose entry value is only
+  /// the CG initial guess (a nearby field, e.g. the previous coupling
+  /// pass's result, saves iterations).  `t` may alias `from`.  Any guess
+  /// gives the same step to within the CG tolerance.
+  void step_transient(const std::vector<double>& from, std::vector<double>& t,
+                      double dt_s) const;
 
   /// Extract one layer of a solution as a 2D field [°C].
   [[nodiscard]] util::Grid2D<double> layer_field(const std::vector<double>& t,

@@ -5,7 +5,7 @@
 namespace tpcool::thermal {
 
 std::vector<double> ThermalModel::solve_steady(
-    const std::vector<double>& hint) const {
+    const std::vector<double>& hint, double tolerance) const {
   util::TraceSpan span("steady_solve");
   assemble();
   const std::size_t n = cell_count();
@@ -23,10 +23,13 @@ std::vector<double> ThermalModel::solve_steady(
   // iteration count.
   last_stats_ = util::solve_cg(
       operator_, rhs, t,
-      {.tolerance = 1e-8, .max_iterations = 50000, .ssor_omega = 1.7});
+      {.tolerance = tolerance,
+       .max_iterations = 50000,
+       .ssor_omega = kSteadySsorOmega});
   span.arg("cells", static_cast<double>(n));
   span.arg("iterations", static_cast<double>(last_stats_.iterations));
   span.arg("residual", last_stats_.residual);
+  span.arg("tolerance", tolerance);
   span.arg("warm", warm ? 1.0 : 0.0);
   return t;
 }

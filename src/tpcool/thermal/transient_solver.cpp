@@ -4,7 +4,8 @@
 
 namespace tpcool::thermal {
 
-void ThermalModel::step_transient(std::vector<double>& t, double dt_s) const {
+void ThermalModel::step_transient(const std::vector<double>& from,
+                                  std::vector<double>& t, double dt_s) const {
   TPCOOL_REQUIRE(dt_s > 0.0, "time step must be positive");
   // A counter, not a span: adaptive segments take thousands of steps and
   // each one already shows up as a "cg" span underneath.
@@ -15,7 +16,8 @@ void ThermalModel::step_transient(std::vector<double>& t, double dt_s) const {
   }
   assemble();
   const std::size_t n = cell_count();
-  TPCOOL_REQUIRE(t.size() == n, "state vector size mismatch");
+  TPCOOL_REQUIRE(from.size() == n && t.size() == n,
+                 "state vector size mismatch");
 
   // Backward Euler: (C/dt + G)·T⁺ = C/dt·T + P + boundary.
   // G is the assembled steady operator; C/dt is diagonal, so the step
@@ -30,7 +32,7 @@ void ThermalModel::step_transient(std::vector<double>& t, double dt_s) const {
       for (std::size_t ix = 0; ix < nx(); ++ix) {
         const std::size_t i = cell_index(ix, iy, iz);
         cdiag[i] = stack_.layers[iz].vol_heat_cap_j_m3k(ix, iy) * vol / dt_s;
-        rhs[i] += cdiag[i] * t[i];
+        rhs[i] += cdiag[i] * from[i];
         if (iz == stack_.die_layer) rhs[i] += power_w_(ix, iy);
       }
     }
@@ -42,9 +44,13 @@ void ThermalModel::step_transient(std::vector<double>& t, double dt_s) const {
   }
   step_operator_.set_shifted_diagonal(operator_, cdiag);
 
-  // Warm start from the previous state: consecutive steps differ little.
+  // The CG starts from the caller's guess in `t` (the state itself for the
+  // in-place form: consecutive steps differ little).  `from` is not read
+  // again past this point, so it may alias `t`.
   last_stats_ = util::solve_cg(step_operator_, rhs, t,
-                               {.tolerance = 1e-9, .max_iterations = 20000});
+                               {.tolerance = kTransientCgTolerance,
+                                .max_iterations = 20000,
+                                .ssor_omega = kTransientSsorOmega});
 }
 
 }  // namespace tpcool::thermal

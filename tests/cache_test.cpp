@@ -1,10 +1,10 @@
 // Tests for the sharded solve-cache layer: shard-count/capacity resolution,
 // cost-aware eviction, the order-insensitive content digest, the segmented
 // (manifest + per-shard segment) snapshot format, re-striping across shard
-// counts, refusal of non-manifest files, rejection of damaged manifests and
-// missing/truncated/mixed-generation segments, a concurrent merge-save
-// torture run with a deterministic final digest, and the
-// attach_persistent_file displacement warning.
+// counts, refusal of non-manifest files and of stale model fingerprints,
+// rejection of damaged manifests and missing/truncated/mixed-generation
+// segments, a concurrent merge-save torture run with a deterministic final
+// digest, and the attach_persistent_file displacement warning.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +21,7 @@
 #include "tpcool/core/solve_cache.hpp"
 #include "tpcool/util/fnv.hpp"
 #include "tpcool/util/grid2d.hpp"
+#include "tpcool/util/telemetry.hpp"
 
 namespace tpcool::core {
 namespace {
@@ -367,6 +368,77 @@ TEST(SegmentedSnapshotTest, RefusesNonManifestFilesWithoutTouchingTheCache) {
   std::filesystem::remove(path);
 }
 
+TEST(SegmentedSnapshotTest, RefusesStaleModelFingerprintWithoutTouchingTheCache) {
+  // A snapshot saved under other model constants (hand-edited here: its
+  // manifest fingerprint is changed and the manifest re-sealed, so only
+  // the fingerprint check can fire) is refused whole: SnapshotError, a
+  // warning, a cache.fingerprint_mismatch count, and none of its entries
+  // is ever served.
+  const std::string path = ::testing::TempDir() + "tpcool_cache_stale_fp.bin";
+  remove_snapshot(path);
+  SolveCache source(32, 4);
+  for (int i = 0; i < 6; ++i) {
+    source.put("stale/k" + std::to_string(i), rich_result(i), 1.0);
+  }
+  source.save(path);
+  std::string blob = read_file(path);
+  ASSERT_EQ(cache_io::decode_manifest(blob, path).fingerprint,
+            SolveCache::model_fingerprint());
+
+  // Fingerprint: bytes 12..19 (magic, u32 version, then u64 fingerprint).
+  blob[12] = static_cast<char>(blob[12] ^ 0x5A);
+  std::uint64_t digest = util::kFnvOffsetBasis;
+  for (std::size_t i = 0; i + 8 < blob.size(); ++i) {
+    util::fnv_byte(digest, static_cast<std::uint8_t>(blob[i]));
+  }
+  for (std::size_t i = 0; i < 8; ++i) {
+    blob[blob.size() - 8 + i] = static_cast<char>((digest >> (8 * i)) & 0xFF);
+  }
+  write_file(path, blob);
+  ASSERT_NE(cache_io::decode_manifest(blob, path).fingerprint,
+            SolveCache::model_fingerprint());
+
+  SolveCache cache(32, 4);
+  for (int i = 0; i < 5; ++i) {
+    cache.put("kept/k" + std::to_string(i), rich_result(i + 20));
+  }
+  const std::size_t size = cache.stats().size;
+  const std::uint64_t content = cache.content_digest();
+
+  util::Telemetry& telemetry = util::Telemetry::instance();
+  telemetry.enable();
+  telemetry.reset();
+  ::testing::internal::CaptureStderr();
+  try {
+    cache.load(path);
+    ADD_FAILURE() << "expected SnapshotError for a stale fingerprint";
+  } catch (const SnapshotError& error) {
+    EXPECT_NE(std::string(error.what()).find("fingerprint"),
+              std::string::npos)
+        << error.what();
+  }
+  const std::string warned = ::testing::internal::GetCapturedStderr();
+  double mismatches = 0.0;
+  for (const auto& [name, value] : telemetry.metrics().counters) {
+    if (name == "cache.fingerprint_mismatch") mismatches = value;
+  }
+  telemetry.disable();
+  telemetry.reset();
+  EXPECT_NE(warned.find("WARN"), std::string::npos) << warned;
+  EXPECT_NE(warned.find("fingerprint"), std::string::npos) << warned;
+  EXPECT_EQ(mismatches, 1.0);
+
+  EXPECT_EQ(cache.stats().size, size);
+  EXPECT_EQ(cache.content_digest(), content);
+  // Never served: the snapshot's keys still miss and recompute.
+  const std::uint64_t misses = cache.stats().misses;
+  const SimulationResult fresh =
+      cache.get_or_compute("stale/k3", [] { return rich_result(99); });
+  EXPECT_EQ(fresh.tcase_c, rich_result(99).tcase_c);
+  EXPECT_EQ(cache.stats().misses, misses + 1);
+  remove_snapshot(path);
+}
+
 TEST(SegmentedSnapshotTest, RejectsDamagedManifestAndSegments) {
   const std::string path = ::testing::TempDir() + "tpcool_cache_damage.bin";
   remove_snapshot(path);
@@ -514,6 +586,11 @@ TEST(AttachPersistentFileTest, WarnsWhenSecondPathDisplacesTheFirst) {
       ::testing::TempDir() + "tpcool_attach_first.bin";
   const std::string second =
       ::testing::TempDir() + "tpcool_attach_second.bin";
+  // attach loads an existing file, and this process's exit save leaves
+  // `second` behind: start without either, so a snapshot a build of
+  // other model constants left there cannot add an "ignoring" line.
+  remove_snapshot(first);
+  remove_snapshot(second);
   auto cache = std::make_shared<SolveCache>(8, 1);
   cache->put("attach/key", rich_result(1));
 

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "tpcool/thermal/grid.hpp"
@@ -311,6 +313,70 @@ TEST(BoundaryReassembly, TopOnlyUpdateMatchesAFreshAssemblyBitwise) {
   reused.set_bottom_boundary(10.0, 40.0);
   reused.set_top_boundary(boundaries[0]);
   expect_same_model(reused, fresh_model(boundaries[0], 10.0));
+}
+
+// ------------------------------------------------- transient CG guess --
+
+TEST(TransientSolver, WarmGuessMatchesTheColdStep) {
+  // step_transient(from, t, dt) starts CG from `t`; the step itself is
+  // set by `from`.  The guesses the transient engine hands it — the same
+  // step under the previous coupling pass's boundary, and the two half
+  // steps' end for the full step — must agree with the cold in-place step
+  // far below any reported temperature.  Both answers only meet the CG's
+  // 1e-9 relative residual, and at millisecond steps ||rhs|| is dominated
+  // by C/dt·T, so there each of them lies a few 1e-7 °C from the exact
+  // solution of the step (measured on this grid: cold 1.3e-7, warm
+  // 3.6e-7); hence the wider bound at 1 ms.
+  PackageStackConfig config;
+  config.cell_size_m = 2.0e-3;
+  const StackModel stack = make_package_stack(config);
+  const std::size_t nx = stack.grid.nx;
+  const std::size_t ny = stack.grid.ny;
+  ThermalModel model(stack);
+  Grid2D<double> power(nx, ny, 0.0);
+  power(nx / 2, ny / 2) = 20.0;
+  power(nx / 3, ny / 2) = 8.0;
+  model.set_power_map(power);
+  model.set_bottom_boundary(10.0, 40.0);
+  model.set_top_boundary(patterned_boundary(nx, ny, 1.5e4, 35.0, true));
+  const std::vector<double> from = model.solve_steady();
+  const TopBoundary previous = patterned_boundary(nx, ny, 9.0e3, 31.5, false);
+  const TopBoundary current = patterned_boundary(nx, ny, 8.0e3, 31.0, false);
+
+  const auto max_diff = [](const std::vector<double>& a,
+                           const std::vector<double>& b) {
+    double max = 0.0;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      max = std::max(max, std::abs(a[i] - b[i]));
+    }
+    return max;
+  };
+  for (const auto& [dt_s, bound_c] :
+       {std::pair{1e-3, 1e-6}, std::pair{0.5, 1e-7}, std::pair{900.0, 1e-7}}) {
+    model.set_top_boundary(previous);
+    std::vector<double> pass_guess = from;
+    model.step_transient(pass_guess, dt_s);
+    std::vector<double> halves = from;
+    model.step_transient(halves, 0.5 * dt_s);
+    model.step_transient(halves, 0.5 * dt_s);
+
+    model.set_top_boundary(current);
+    std::vector<double> cold = from;
+    model.step_transient(cold, dt_s);
+    std::vector<double> warm = pass_guess;
+    model.step_transient(from, warm, dt_s);
+    EXPECT_LE(max_diff(warm, cold), bound_c) << "dt " << dt_s;
+    std::vector<double> from_halves = halves;
+    model.step_transient(from, from_halves, dt_s);
+    EXPECT_LE(max_diff(from_halves, cold), bound_c) << "dt " << dt_s;
+
+    // The guess is really used: the converged step as its own guess needs
+    // no iteration and returns it unchanged.
+    std::vector<double> exact = cold;
+    model.step_transient(from, exact, dt_s);
+    EXPECT_EQ(model.last_solve_stats().iterations, 0u) << "dt " << dt_s;
+    EXPECT_TRUE(bits_equal(exact, cold)) << "dt " << dt_s;
+  }
 }
 
 // ---------------------------------------------------------------- metrics --

@@ -365,6 +365,42 @@ TEST_F(TransientEngineTest, SegmentSpansCountTheirCouplingPassesAndSolves) {
   EXPECT_EQ(counter->second, total_passes);
 }
 
+TEST_F(TransientEngineTest, CappedTrialsCounterSumsTheSegmentSpans) {
+  // A trial whose coupling loop runs all core::kTransientCouplingPasses
+  // passes without meeting the agreement test counts once, both in its
+  // segment span's capped_trials arg and in transient.coupling_capped.
+  util::Telemetry& telemetry = util::Telemetry::instance();
+  telemetry.enable();
+  telemetry.reset();
+  core::SolveCache::global()->clear();  // every segment integrates cold
+  (void)datacenter::TransientFleetEngine(small_fleet(), {})
+      .run(smooth_streams());
+  const std::vector<util::SpanRecord> spans = telemetry.merged_spans();
+  const util::MetricsSnapshot metrics = telemetry.metrics();
+  telemetry.reset();
+  telemetry.disable();
+  ASSERT_EQ(metrics.dropped_spans, 0u);
+
+  double capped = 0.0;
+  for (const util::SpanRecord& segment : spans) {
+    if (segment.name != "transient.segment") continue;
+    const double segment_capped = span_arg(segment, "capped_trials");
+    const double trials =
+        span_arg(segment, "steps") + span_arg(segment, "rejected_steps");
+    EXPECT_LE(segment_capped, trials);
+    // A capped trial ran every pass the cap allows.
+    EXPECT_LE(segment_capped * core::kTransientCouplingPasses,
+              span_arg(segment, "coupling_passes"));
+    capped += segment_capped;
+  }
+  EXPECT_GT(capped, 0.0);  // these segments do hit the cap
+  const auto counter = std::find_if(
+      metrics.counters.begin(), metrics.counters.end(),
+      [](const auto& c) { return c.first == "transient.coupling_capped"; });
+  ASSERT_NE(counter, metrics.counters.end());
+  EXPECT_EQ(counter->second, capped);
+}
+
 TEST_F(TransientEngineTest, SnapshotWarmRerunReplaysWithZeroMisses) {
   // Cold run, snapshot, reload into an empty cache: the rerun must serve
   // every solve — steady fleet AND chained transient segments (whose keys
