@@ -4,7 +4,7 @@
 Usage:
     cache_inspect.py PATH [--verify]
 
-PATH is a segmented v4 manifest (written by SolveCache::save; segments
+PATH is a segmented v5 manifest (written by SolveCache::save; segments
 live next to it as PATH.seg0000, PATH.seg0001, ...).  The byte layouts
 are defined in src/tpcool/core/cache_segment_io.cpp and documented in
 docs/CACHE.md; this script is an independent Python reimplementation of
@@ -35,7 +35,7 @@ import sys
 
 MANIFEST_MAGIC = b"TPCOOLSM"
 SEGMENT_MAGIC = b"TPCOOLSG"
-SEGMENTED_VERSION = 4
+SEGMENTED_VERSION = 5
 
 # util/fnv.hpp's pinned constants (the offset basis is the repo's own
 # value, not the textbook FNV-1a one — it is part of the on-disk format).
@@ -199,7 +199,7 @@ def content_digest(entries):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("path", help="snapshot manifest (v4)")
+    parser.add_argument("path", help="snapshot manifest (v5)")
     parser.add_argument("--verify", action="store_true",
                         help="exit non-zero on any corruption")
     args = parser.parse_args()

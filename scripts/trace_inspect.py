@@ -24,6 +24,18 @@ and exits non-zero on the first violation:
   * the number of "solve" spans equals the metrics counter
     "solve.executed" when no spans were dropped (with drops, recorded
     spans may be fewer — never more);
+  * "solve" spans plus "transient.segment" spans equal the summed
+    "cache.shard<k>.misses" counters when no spans were dropped (never
+    more with drops).  Every cache miss runs its compute exactly once,
+    and that compute is one coupled solve or one transient segment; a
+    lookup that finds its key in flight waits, counts a hit and records
+    no span.  So the identity holds at any thread count, for any trace
+    whose coupled solves all went through the solve cache; a trace with
+    no cache-shard counters (no solve cache in the process) skips it;
+  * when no spans were dropped, every "transient.segment" span lies
+    inside a "transient.chain" span of its own thread (a segment runs
+    inside its stream's chain task; a full ring drops the chain span,
+    which completes last, while keeping its segments);
   * metrics "spans" equals the number of "X" events.
 
 --bench-json additionally cross-checks the trace against a bench JSON
@@ -141,6 +153,29 @@ def check_nesting(spans):
             stack.append((event["name"], end))
 
 
+def check_segments_in_chains(spans):
+    """Every transient.segment span lies inside a transient.chain span of
+    its own thread."""
+    chains = defaultdict(list)
+    for event in spans:
+        if event["name"] == "transient.chain":
+            chains[event["tid"]].append(
+                (event["ts"], event["ts"] + event["dur"])
+            )
+    for event in spans:
+        if event["name"] != "transient.segment":
+            continue
+        start, end = event["ts"], event["ts"] + event["dur"]
+        if not any(
+            lo - EPSILON_US <= start and end <= hi + EPSILON_US
+            for lo, hi in chains[event["tid"]]
+        ):
+            raise TraceError(
+                f"thread {event['tid']}: transient.segment "
+                f"[{start:.3f}, {end:.3f}] us lies in no transient.chain span"
+            )
+
+
 def check_counters(trace, spans):
     metrics = trace["metrics"]
     dropped = metrics.get("dropped_spans", 0)
@@ -163,6 +198,34 @@ def check_counters(trace, spans):
             raise TraceError(
                 f"{solve_spans} solve spans exceed solve.executed={executed:g}"
             )
+    shard_misses = [
+        value
+        for name, value in metrics.get("counters", {}).items()
+        if name.startswith("cache.shard") and name.endswith(".misses")
+    ]
+    if not shard_misses:
+        # No solve cache in this process: every solve ran uncached.
+        return solve_spans, dropped
+    misses = sum(shard_misses)
+    computed = solve_spans + sum(
+        1 for e in spans if e["name"] == "transient.segment"
+    )
+    if dropped == 0 and computed != misses:
+        hint = (
+            " (a solve on a server with no solve cache attached also "
+            "records a solve span)"
+            if computed > misses
+            else ""
+        )
+        raise TraceError(
+            f"{computed} solve + transient.segment spans vs {misses:g} "
+            f"cache misses with no dropped spans{hint}"
+        )
+    if computed > misses:
+        raise TraceError(
+            f"{computed} solve + transient.segment spans exceed "
+            f"{misses:g} cache misses"
+        )
     return solve_spans, dropped
 
 
@@ -255,6 +318,8 @@ def main():
         check_monotonic_ends(spans)
         check_nesting(spans)
         solve_spans, dropped = check_counters(trace, spans)
+        if dropped == 0:
+            check_segments_in_chains(spans)
         if args.bench_json:
             iterations = check_bench_json(args.bench_json, solve_spans, dropped)
             print(

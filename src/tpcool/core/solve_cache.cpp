@@ -255,7 +255,8 @@ std::uint64_t SolveCache::model_fingerprint() {
        {thermal::kSteadyCgTolerance, thermal::kSteadySsorOmega,
         thermal::kTransientCgTolerance, thermal::kTransientSsorOmega,
         kForcingFactor, kForcingFloor, kForcingCeiling,
-        kTransientCouplingRelaxation, kTransientCouplingAgreement}) {
+        kTransientCouplingRelaxation, kTransientCouplingAgreement,
+        kTransientForcingFactor}) {
     fnv_f64(digest, value);
   }
   fnv_u64(digest,

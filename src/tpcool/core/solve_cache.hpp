@@ -87,15 +87,18 @@ class SolveCache {
   ///     and per-entry observed solve costs.
   /// v4: the manifest carries model_fingerprint(); forcing-term coupling
   ///     tolerances and warm-started transient passes changed result bits.
-  static constexpr std::uint32_t kSnapshotVersion = 4;
+  /// v5: inexact (forcing-term) non-final transient coupling passes
+  ///     changed transient segment bits.
+  static constexpr std::uint32_t kSnapshotVersion = 5;
 
   /// FNV-1a hash over a canonical list of every model constant that sets
   /// result bits: the steady and transient CG tolerances and SSOR ω, the
   /// forcing-term constants, the default coupling pass count, the
-  /// transient coupling cap, relaxation and agreement test, the solid,
-  /// refrigerant and water property tables, and kSnapshotVersion.  save()
-  /// writes it into the manifest; load() refuses a snapshot that carries a
-  /// different one, so a snapshot never serves results of other physics.
+  /// transient coupling cap, relaxation, agreement test and forcing
+  /// factor, the solid, refrigerant and water property tables, and
+  /// kSnapshotVersion.  save() writes it into the manifest; load() refuses
+  /// a snapshot that carries a different one, so a snapshot never serves
+  /// results of other physics.
   [[nodiscard]] static std::uint64_t model_fingerprint();
 
   /// `shards` must be 0 (auto: default_shard_count()) or is rounded up to

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -20,9 +19,9 @@ namespace tpcool::datacenter {
 
 namespace {
 
-/// One segment per chunk, like the steady fleet: every (job, interval)
-/// integrates independently.
-constexpr std::size_t kSegmentGrain = 1;
+/// One stream chain per chunk: chains are independent of each other, and
+/// a chain's segments run in interval order on the thread that claimed it.
+constexpr std::size_t kChainGrain = 1;
 
 // Inner thermosyphon coupling per adaptive trial step (the transient
 // analogue of ServerModel::coupled_solve's fixed point; its pass cap,
@@ -39,7 +38,11 @@ constexpr std::size_t kSegmentGrain = 1;
 // is under-relaxed: at high heat flux the boiling HTC's feedback loop has
 // gain above one, so plain substitution oscillates between two boundary
 // states instead of converging; averaging successive heat maps halves the
-// effective gain and makes the iteration contract.
+// effective gain and makes the iteration contract.  Passes past the
+// second only shape the next pass's heat map unless they turn out to be
+// the last, so their half steps solve to a forcing term
+// (core::kTransientForcingFactor times the last pass difference, Eisenstat
+// & Walker 1996), not to the committed-step tolerance.
 
 double max_abs_diff(const std::vector<double>& a,
                     const std::vector<double>& b) {
@@ -50,8 +53,15 @@ double max_abs_diff(const std::vector<double>& a,
   return max;
 }
 
-/// Everything one segment integration needs, resolved serially before the
-/// fan-out so the parallel closure touches no shared mutable state.
+/// CG tolerance of a coupling pass's half steps once the trial has a pass
+/// difference `delta_c` [°C].
+double transient_forcing_tolerance(double delta_c) {
+  return std::clamp(core::kTransientForcingFactor * delta_c,
+                    thermal::kTransientCgTolerance, core::kForcingCeiling);
+}
+
+/// Everything one segment integration needs, resolved by its stream chain
+/// from shared read-only state and the chain's own carried field.
 struct SegmentTask {
   const JobOutcome* job = nullptr;
   const workload::BenchmarkProfile* bench = nullptr;
@@ -169,12 +179,13 @@ core::SimulationResult integrate_segment(core::ApproachPipeline& pipeline,
         std::vector<double> trial;
         std::vector<double> prev_trial;
         util::Grid2D<double> trial_heat = evap_heat;
+        double pass_tolerance = thermal::kTransientCgTolerance;
         bool agreed = false;
         for (int k = 0; k < core::kTransientCouplingPasses; ++k) {
           set_boundary(trial_heat);
-          thermal.step_transient(t, half, half_dt_s);
+          thermal.step_transient(t, half, half_dt_s, pass_tolerance);
           if (k == 0) trial = half;
-          thermal.step_transient(half, trial, half_dt_s);
+          thermal.step_transient(half, trial, half_dt_s, pass_tolerance);
           ++coupling_passes;
           linear_solves += 2;
           const util::Grid2D<double> next_heat = clamped_top_heat(trial);
@@ -183,12 +194,14 @@ core::SimulationResult integrate_segment(core::ApproachPipeline& pipeline,
                                     (next_heat.data()[i] -
                                      trial_heat.data()[i]);
           }
-          if (!prev_trial.empty() &&
-              max_abs_diff(trial, prev_trial) <=
-                  core::kTransientCouplingAgreement *
-                      config.step_control.tolerance_c) {
-            agreed = true;
-            break;
+          if (!prev_trial.empty()) {
+            const double delta_c = max_abs_diff(trial, prev_trial);
+            if (delta_c <= core::kTransientCouplingAgreement *
+                               config.step_control.tolerance_c) {
+              agreed = true;
+              break;
+            }
+            pass_tolerance = transient_forcing_tolerance(delta_c);
           }
           prev_trial = trial;
         }
@@ -281,72 +294,93 @@ TransientFleetResult TransientFleetEngine::run(
     cell_count[r] = lease->server().thermal().cell_count();
   }
 
-  // Thermal state follows the stream across intervals (the history a
-  // migrating job's server accumulates — a modeling choice; see the header
-  // doc).  A rack move that changes the grid resets to the start
+  const std::vector<FleetInterval>& intervals = result.steady.intervals;
+  if (util::telemetry_enabled()) {
+    static util::TelemetryCounter& interval_count =
+        util::Telemetry::instance().counter("transient.intervals");
+    interval_count.add(static_cast<double>(intervals.size()));
+  }
+
+  // Group the jobs into one chain per stream, in interval order.  Thermal
+  // state follows the stream across intervals (the history a migrating
+  // job's server accumulates — a modeling choice; see the header doc), so
+  // a segment depends only on its stream's previous end state: the chains
+  // are independent and need no barrier between intervals.
+  struct StreamChain {
+    std::size_t stream = 0;
+    std::vector<std::pair<std::size_t, std::size_t>> links;  // (interval, job)
+  };
+  std::vector<StreamChain> chains(streams.size());
+  for (std::size_t s = 0; s < chains.size(); ++s) chains[s].stream = s;
+  std::vector<std::vector<core::SimulationResult>> segments(intervals.size());
+  for (std::size_t i = 0; i < intervals.size(); ++i) {
+    segments[i].resize(intervals[i].jobs.size());
+    for (std::size_t j = 0; j < intervals[i].jobs.size(); ++j) {
+      chains[intervals[i].jobs[j].stream].links.emplace_back(i, j);
+    }
+  }
+  std::erase_if(chains,
+                [](const StreamChain& chain) { return chain.links.empty(); });
+
+  // One task per chain on pooled pipelines, each segment memoized under its
+  // key (a warm rerun replays every segment from the cache) and written to
+  // its pre-sized (interval, job) slot.  The chain carries its stream's
+  // end state; a rack move that changes the grid resets it to the start
   // temperature.
-  std::unordered_map<std::size_t, std::vector<double>> stream_state;
+  (void)core::parallel_map<std::size_t>(
+      chains.size(), kChainGrain, [](std::size_t chunk) { return chunk; },
+      [&](std::size_t /*chunk*/, std::size_t c) {
+        const StreamChain& chain = chains[c];
+        util::TraceSpan chain_span("transient.chain");
+        chain_span.arg("stream", static_cast<double>(chain.stream));
+        chain_span.arg("segments", static_cast<double>(chain.links.size()));
+        std::vector<double> carried;
+        for (const auto& [i, j] : chain.links) {
+          const FleetInterval& interval = intervals[i];
+          const JobOutcome& job = interval.jobs[j];
+          const std::size_t r = job.rack;
+          SegmentTask task;
+          task.job = &job;
+          task.bench = &workload::find_benchmark(job.benchmark);
+          task.op = {.water_flow_kg_h = design_flow_kg_h[r],
+                     .water_inlet_c = interval.racks[r].cooling.supply_temp_c};
+          task.duration_s = interval.duration_s;
+          if (carried.size() == cell_count[r]) {
+            task.initial_field_c = std::move(carried);
+          } else {
+            task.initial_field_c.assign(cell_count[r],
+                                        config_.start_temperature_c);
+          }
+          task.cache_key = core::segment_request_key(
+              scope[r], *task.bench, job.decision.point.config,
+              job.decision.cores, job.decision.idle_state, task.op,
+              task.duration_s, config_.step_control, config_.fixed_dt_s,
+              task.initial_field_c);
+          const RackSpec& spec = config.racks[r];
+          core::PipelinePool::Lease pipeline =
+              core::PipelinePool::global().checkout(spec.approach,
+                                                    spec.cell_size_m, cache);
+          core::SimulationResult& segment = segments[i][j];
+          segment = cache->get_or_compute(task.cache_key, [&] {
+            return integrate_segment(*pipeline, task, config_);
+          });
+          carried = std::move(segment.transient.end_state_c);
+        }
+        return chain.links.size();
+      });
 
-  for (const FleetInterval& interval : result.steady.intervals) {
-    util::TraceSpan interval_span("transient.interval");
-    interval_span.arg("interval", static_cast<double>(interval.interval));
-    interval_span.arg("jobs", static_cast<double>(interval.jobs.size()));
-    if (util::telemetry_enabled()) {
-      static util::TelemetryCounter& intervals =
-          util::Telemetry::instance().counter("transient.intervals");
-      intervals.add(1.0);
-    }
-    std::vector<SegmentTask> tasks;
-    tasks.reserve(interval.jobs.size());
-    for (const JobOutcome& job : interval.jobs) {
-      const std::size_t r = job.rack;
-      SegmentTask task;
-      task.job = &job;
-      task.bench = &workload::find_benchmark(job.benchmark);
-      task.op = {.water_flow_kg_h = design_flow_kg_h[r],
-                 .water_inlet_c = interval.racks[r].cooling.supply_temp_c};
-      task.duration_s = interval.duration_s;
-      const auto carried = stream_state.find(job.stream);
-      if (carried != stream_state.end() &&
-          carried->second.size() == cell_count[r]) {
-        task.initial_field_c = carried->second;
-      } else {
-        task.initial_field_c.assign(cell_count[r],
-                                    config_.start_temperature_c);
-      }
-      task.cache_key = core::segment_request_key(
-          scope[r], *task.bench, job.decision.point.config,
-          job.decision.cores, job.decision.idle_state, task.op,
-          task.duration_s, config_.step_control, config_.fixed_dt_s,
-          task.initial_field_c);
-      tasks.push_back(std::move(task));
-    }
-
-    // Fan the interval's segments out on pooled pipelines, memoized under
-    // the segment key: a warm rerun replays every segment from the cache.
-    const std::vector<core::SimulationResult> segments =
-        core::parallel_map<core::SimulationResult>(
-            tasks.size(), kSegmentGrain,
-            [&](std::size_t chunk) {
-              const RackSpec& spec = config.racks[tasks[chunk].job->rack];
-              return core::PipelinePool::global().checkout(
-                  spec.approach, spec.cell_size_m, cache);
-            },
-            [&](core::PipelinePool::Lease& pipeline, std::size_t j) {
-              return cache->get_or_compute(tasks[j].cache_key, [&] {
-                return integrate_segment(*pipeline, tasks[j], config_);
-              });
-            });
-
-    // Serial rollup + state chaining, in stream order.
+  // Serial rollup, in interval and job (stream) order.
+  for (std::size_t i = 0; i < intervals.size(); ++i) {
+    const FleetInterval& interval = intervals[i];
     TransientInterval out;
     out.interval = interval.interval;
     out.start_s = interval.start_s;
     out.duration_s = interval.duration_s;
-    out.jobs.reserve(tasks.size());
-    for (std::size_t j = 0; j < tasks.size(); ++j) {
-      const JobOutcome& job = *tasks[j].job;
-      const core::TransientSegmentInfo& seg = segments[j].transient;
+    out.jobs.reserve(interval.jobs.size());
+    for (std::size_t j = 0; j < interval.jobs.size(); ++j) {
+      const JobOutcome& job = interval.jobs[j];
+      const core::SimulationResult& segment = segments[i][j];
+      const core::TransientSegmentInfo& seg = segment.transient;
       TPCOOL_ENSURE(seg.sim_time_s == interval.duration_s,
                     "transient segment drifted off the interval boundary");
       TransientJobOutcome outcome;
@@ -355,7 +389,7 @@ TransientFleetResult TransientFleetEngine::run(
       outcome.benchmark = job.benchmark;
       outcome.peak_tcase_c = seg.peak_tcase_c;
       outcome.peak_die_c = seg.peak_die_c;
-      outcome.end_tcase_c = segments[j].tcase_c;
+      outcome.end_tcase_c = segment.tcase_c;
       outcome.steps = seg.steps;
       outcome.rejected_steps = seg.rejected_steps;
       outcome.tcase_limit_exceeded =
@@ -364,7 +398,6 @@ TransientFleetResult TransientFleetEngine::run(
       result.peak_tcase_c = std::max(result.peak_tcase_c, seg.peak_tcase_c);
       result.total_steps += seg.steps;
       result.total_rejected_steps += seg.rejected_steps;
-      stream_state[job.stream] = seg.end_state_c;
       out.jobs.push_back(std::move(outcome));
     }
     result.intervals.push_back(std::move(out));

@@ -21,12 +21,13 @@
 /// server accumulates); a rack move that changes the grid resets the
 /// state to the start temperature.
 ///
-/// Engine contract: segments fan out through `core::parallel_map` on
-/// pooled pipelines and are memoized in the `SolveCache` under
-/// `segment_request_key` — keyed on a digest of the segment's *initial
-/// field*, so a chained rerun replays the whole trajectory from a warm
-/// snapshot with zero misses, and results are bit-identical for any
-/// thread count (`transient_digest` certifies it, like `fleet_digest`).
+/// Engine contract: each stream's chain of segments is one
+/// `core::parallel_map` task on pooled pipelines, and every segment is
+/// memoized in the `SolveCache` under `segment_request_key` — keyed on a
+/// digest of the segment's *initial field*, so a chained rerun replays the
+/// whole trajectory from a warm snapshot with zero misses, and results are
+/// bit-identical for any thread count (`transient_digest` certifies it,
+/// like `fleet_digest`).
 
 #include <cstddef>
 #include <cstdint>
@@ -92,11 +93,14 @@ struct TransientFleetResult {
 
 /// Adaptive-step transient engine over a fleet.
 ///
-/// `run` is bit-identical for any thread count: segments are fanned out
-/// with fixed-grain `parallel_map`, every segment value is a pure function
-/// of its cache key (cold-start integration from the keyed initial field),
-/// and all cross-segment state (per-stream chaining) updates serially in
-/// stream order.
+/// `run` is bit-identical for any thread count.  The only cross-segment
+/// state is a stream's carried field, so each stream's chain of segments
+/// is one fixed-grain `parallel_map` task that runs its segments in
+/// interval order on one thread, with no barrier between intervals.  Every
+/// segment value is a pure function of its cache key (integration from the
+/// keyed initial field), each result lands in its own (interval, job)
+/// slot, and the rollup into totals runs serially in interval and stream
+/// order after every chain has finished.
 class TransientFleetEngine {
  public:
   TransientFleetEngine(FleetConfig fleet, TransientEngineConfig config);

@@ -23,7 +23,9 @@ namespace tpcool::thermal {
 inline constexpr double kSteadyCgTolerance = 1e-8;
 /// SSOR relaxation of the steady solve (swept empirically).
 inline constexpr double kSteadySsorOmega = 1.7;
-/// Relative CG residual of every backward-Euler step.
+/// Relative CG residual of a committed backward-Euler step (the default of
+/// ThermalModel::step_transient; non-final coupling passes pass a looser
+/// one).
 inline constexpr double kTransientCgTolerance = 1e-9;
 /// SSOR relaxation of the backward-Euler step solve.
 inline constexpr double kTransientSsorOmega = 1.5;
@@ -98,9 +100,11 @@ class ThermalModel {
   /// The same step from state `from` into `t`, whose entry value is only
   /// the CG initial guess (a nearby field, e.g. the previous coupling
   /// pass's result, saves iterations).  `t` may alias `from`.  Any guess
-  /// gives the same step to within the CG tolerance.
+  /// gives the same step to within the CG tolerance, the relative residual
+  /// `tolerance` (a non-final transient coupling pass passes a looser one).
   void step_transient(const std::vector<double>& from, std::vector<double>& t,
-                      double dt_s) const;
+                      double dt_s,
+                      double tolerance = kTransientCgTolerance) const;
 
   /// Extract one layer of a solution as a 2D field [°C].
   [[nodiscard]] util::Grid2D<double> layer_field(const std::vector<double>& t,

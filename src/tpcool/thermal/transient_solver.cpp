@@ -5,7 +5,8 @@
 namespace tpcool::thermal {
 
 void ThermalModel::step_transient(const std::vector<double>& from,
-                                  std::vector<double>& t, double dt_s) const {
+                                  std::vector<double>& t, double dt_s,
+                                  double tolerance) const {
   TPCOOL_REQUIRE(dt_s > 0.0, "time step must be positive");
   // A counter, not a span: adaptive segments take thousands of steps and
   // each one already shows up as a "cg" span underneath.
@@ -48,7 +49,7 @@ void ThermalModel::step_transient(const std::vector<double>& from,
   // in-place form: consecutive steps differ little).  `from` is not read
   // again past this point, so it may alias `t`.
   last_stats_ = util::solve_cg(step_operator_, rhs, t,
-                               {.tolerance = kTransientCgTolerance,
+                               {.tolerance = tolerance,
                                 .max_iterations = 20000,
                                 .ssor_omega = kTransientSsorOmega});
 }

@@ -2,7 +2,9 @@
 // error-estimate and step-to-boundary choosers), the embedded
 // step-doubling error step, and the TransientFleetEngine — exact boundary
 // landing, fewer steps than the fixed-period baseline on smooth traces,
-// bit-identity across thread counts, snapshot-warm replay with zero
+// bit-identity across thread counts (more stream chains than threads,
+// streams that end early, rack moves that reset the state), inexact
+// coupling passes against all-tight ones, snapshot-warm replay with zero
 // misses, and per-stream thermal-state chaining.
 
 #include <gtest/gtest.h>
@@ -14,9 +16,13 @@
 #include <vector>
 
 #include "tpcool/core/pipeline_pool.hpp"
+#include "tpcool/core/pipelines.hpp"
+#include "tpcool/core/server.hpp"
 #include "tpcool/core/solve_cache.hpp"
 #include "tpcool/datacenter/transient.hpp"
+#include "tpcool/floorplan/power_map.hpp"
 #include "tpcool/thermal/grid.hpp"
+#include "tpcool/thermal/metrics.hpp"
 #include "tpcool/thermal/stack.hpp"
 #include "tpcool/thermal/step_control.hpp"
 #include "tpcool/util/error.hpp"
@@ -312,6 +318,60 @@ TEST_F(TransientEngineTest, BitIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST_F(TransientEngineTest, ChainsAreBitIdenticalWithMoreChainsThanThreads) {
+  // Five stream chains on one, two and four threads.  Rack 1 runs a
+  // coarser grid than rack 0, so a job that round-robin moves between
+  // them restarts from the start temperature, while a job that stays
+  // carries its field.  Stream 4's trace ends after the first interval.
+  datacenter::FleetConfig fleet = datacenter::make_heterogeneous_fleet(
+      2, 3, kCell);
+  fleet.racks[1].cell_size_m = 2.0 * kCell;
+  const std::vector<workload::WorkloadTrace> streams{
+      workload::WorkloadTrace(
+          {{"x264", {2.0}, 1.5}, {"canneal", {3.0}, 1.5}}),
+      workload::WorkloadTrace({{"vips", {2.0}, 3.0}}),
+      workload::WorkloadTrace(
+          {{"bodytrack", {2.0}, 1.0}, {"x264", {2.0}, 2.0}}),
+      workload::WorkloadTrace({{"canneal", {3.0}, 3.0}}),
+      workload::WorkloadTrace({{"vips", {2.0}, 1.0}})};
+  const datacenter::TransientEngineConfig config;
+
+  std::uint64_t serial_digest = 0;
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    util::ThreadPool::set_global_thread_count(threads);
+    core::SolveCache::global()->clear();  // recompute, don't replay bits
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const datacenter::TransientFleetResult result =
+        datacenter::TransientFleetEngine(fleet, config).run(streams);
+    if (threads == 1) {
+      serial_digest = datacenter::transient_digest(result);
+      // The scenario has the shape the test is about.
+      ASSERT_EQ(result.intervals.size(), 3u);  // edges at 1.0 and 1.5 s
+      EXPECT_EQ(result.intervals[0].jobs.size(), 5u);
+      for (std::size_t i = 1; i < result.intervals.size(); ++i) {
+        ASSERT_EQ(result.intervals[i].jobs.size(), 4u);
+        for (const datacenter::TransientJobOutcome& job :
+             result.intervals[i].jobs) {
+          EXPECT_NE(job.stream, 4u);
+        }
+      }
+      std::size_t moved = 0;
+      std::size_t stayed = 0;
+      for (std::size_t i = 1; i < result.intervals.size(); ++i) {
+        for (std::size_t j = 0; j < 4; ++j) {
+          const bool same_rack = result.intervals[i].jobs[j].rack ==
+                                 result.intervals[i - 1].jobs[j].rack;
+          ++(same_rack ? stayed : moved);
+        }
+      }
+      EXPECT_GT(moved, 0u);
+      EXPECT_GT(stayed, 0u);
+    } else {
+      EXPECT_EQ(datacenter::transient_digest(result), serial_digest);
+    }
+  }
+}
+
 double span_arg(const util::SpanRecord& span, const std::string& key) {
   for (const auto& [name, value] : span.args) {
     if (name == key) return value;
@@ -365,6 +425,82 @@ TEST_F(TransientEngineTest, SegmentSpansCountTheirCouplingPassesAndSolves) {
   EXPECT_EQ(counter->second, total_passes);
 }
 
+TEST_F(TransientEngineTest, ChainSpansHoldTheirStreamsSegments) {
+  // One transient.chain span per stream, recorded on the pool thread that
+  // ran the chain; every transient.segment nests inside its stream's
+  // chain span.  Stream 2 repeats stream 0 on the same racks, so its
+  // segments share stream 0's keys.  With a thread per chain, its lookups
+  // usually find them in flight and wait; waiting or finding the stored
+  // entry, a lookup counts a hit and records no segment span.  So every
+  // cache miss is one solve or one segment span.
+  std::vector<workload::WorkloadTrace> streams = smooth_streams();
+  streams.push_back(streams[0]);
+  util::Telemetry& telemetry = util::Telemetry::instance();
+  telemetry.enable();
+  telemetry.reset();
+  util::ThreadPool::set_global_thread_count(3);
+  core::SolveCache::global()->clear();  // every segment integrates cold
+  const datacenter::TransientFleetResult result =
+      datacenter::TransientFleetEngine(small_fleet(), {}).run(streams);
+  const core::SolveCache::Stats stats = core::SolveCache::global()->stats();
+  const std::vector<util::SpanRecord> spans = telemetry.merged_spans();
+  const util::MetricsSnapshot metrics = telemetry.metrics();
+  telemetry.reset();
+  telemetry.disable();
+  ASSERT_EQ(metrics.dropped_spans, 0u);
+
+  std::vector<util::SpanRecord> chains;
+  std::size_t segments = 0;
+  std::size_t solves = 0;
+  for (const util::SpanRecord& span : spans) {
+    if (span.name == "transient.chain") chains.push_back(span);
+    if (span.name == "transient.segment") ++segments;
+    if (span.name == "solve") ++solves;
+  }
+  ASSERT_EQ(chains.size(), streams.size());
+  std::vector<double> chain_streams;
+  for (const util::SpanRecord& chain : chains) {
+    chain_streams.push_back(span_arg(chain, "stream"));
+    // Each stream has a job in both intervals.
+    EXPECT_EQ(span_arg(chain, "segments"),
+              static_cast<double>(result.intervals.size()));
+  }
+  std::sort(chain_streams.begin(), chain_streams.end());
+  EXPECT_EQ(chain_streams, (std::vector<double>{0.0, 1.0, 2.0}));
+  for (std::size_t i = 0; i < result.intervals.size(); ++i) {
+    const std::vector<datacenter::TransientJobOutcome>& jobs =
+        result.intervals[i].jobs;
+    ASSERT_EQ(jobs.size(), 3u);
+    EXPECT_EQ(jobs[2].rack, jobs[0].rack);
+    EXPECT_EQ(jobs[2].peak_die_c, jobs[0].peak_die_c);
+  }
+
+  EXPECT_EQ(segments, 4u);  // two intervals x two distinct streams
+  for (const util::SpanRecord& segment : spans) {
+    if (segment.name != "transient.segment") continue;
+    const auto holds_segment = [&](const util::SpanRecord& chain) {
+      return chain.tid == segment.tid && chain.start_ns <= segment.start_ns &&
+             segment.start_ns + segment.dur_ns <=
+                 chain.start_ns + chain.dur_ns;
+    };
+    EXPECT_EQ(std::count_if(chains.begin(), chains.end(), holds_segment), 1);
+  }
+
+  double misses = 0.0;
+  double intervals = -1.0;
+  for (const auto& [name, value] : metrics.counters) {
+    if (name.starts_with("cache.shard") && name.ends_with(".misses")) {
+      misses += value;
+    }
+    if (name == "transient.intervals") intervals = value;
+  }
+  EXPECT_EQ(misses, static_cast<double>(solves + segments));
+  EXPECT_EQ(misses, static_cast<double>(stats.misses));
+  // Stream 2's two segments are hits on top of the steady fleet's.
+  EXPECT_GE(stats.hits, 2u);
+  EXPECT_EQ(intervals, static_cast<double>(result.intervals.size()));
+}
+
 TEST_F(TransientEngineTest, CappedTrialsCounterSumsTheSegmentSpans) {
   // A trial whose coupling loop runs all core::kTransientCouplingPasses
   // passes without meeting the agreement test counts once, both in its
@@ -399,6 +535,182 @@ TEST_F(TransientEngineTest, CappedTrialsCounterSumsTheSegmentSpans) {
       [](const auto& c) { return c.first == "transient.coupling_capped"; });
   ASSERT_NE(counter, metrics.counters.end());
   EXPECT_EQ(counter->second, capped);
+}
+
+/// What a test-local copy of the engine's adaptive segment loop reports.
+struct TightSegment {
+  std::uint64_t steps = 0;
+  std::uint64_t rejected_steps = 0;
+  double peak_tcase_c = 0.0;
+  double peak_die_c = 0.0;
+  double cg_iterations = 0.0;
+};
+
+/// The engine's adaptive trial loop (datacenter/transient.cpp,
+/// integrate_segment) with every coupling pass at the committed-step CG
+/// tolerance: the reference the inexact passes are measured against.
+TightSegment tight_segment(core::ServerModel& server,
+                           const datacenter::JobOutcome& job,
+                           const thermosyphon::OperatingPoint& op,
+                           double duration_s, double start_c,
+                           const thermal::StepControlConfig& control) {
+  server.set_operating_point(op);
+  thermal::ThermalModel& thermal = server.thermal();
+  const thermal::StackModel& stack = thermal.stack();
+  const floorplan::Rect package_region{0.0, 0.0, stack.grid.width(),
+                                       stack.grid.height()};
+  power::PackagePowerRequest req = server.profiler().request_for(
+      workload::find_benchmark(job.benchmark), job.decision.point.config,
+      job.decision.idle_state);
+  req.active_cores = job.decision.cores;
+  thermal.set_power_map(floorplan::rasterize_power(
+      server.floorplan(), server.power_model().unit_powers(req), stack.grid,
+      stack.die_offset_x, stack.die_offset_y));
+
+  const auto set_boundary = [&](const util::Grid2D<double>& heat) {
+    const thermosyphon::ThermosyphonState syphon =
+        server.thermosyphon_model().solve(heat, op);
+    thermal::TopBoundary top;
+    top.htc_w_m2k = syphon.htc_map;
+    top.fluid_temp_c = syphon.fluid_temp_map;
+    thermal.set_top_boundary(std::move(top));
+  };
+  const auto clamped_top_heat = [&](const std::vector<double>& field) {
+    util::Grid2D<double> heat = thermal.top_heat_flow_map_w(field);
+    for (double& q : heat.data()) q = std::max(q, 0.0);
+    return heat;
+  };
+  const auto max_abs_diff = [](const std::vector<double>& a,
+                               const std::vector<double>& b) {
+    double max = 0.0;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      max = std::max(max, std::abs(a[i] - b[i]));
+    }
+    return max;
+  };
+
+  TightSegment out;
+  std::vector<double> t(thermal.cell_count(), start_c);
+  util::Grid2D<double> evap_heat(stack.grid.nx, stack.grid.ny, 0.0);
+  set_boundary(evap_heat);
+  evap_heat = clamped_top_heat(t);
+  const auto step = [&](const std::vector<double>& from,
+                        std::vector<double>& to, double dt_s) {
+    thermal.step_transient(from, to, dt_s);  // kTransientCgTolerance
+    out.cg_iterations +=
+        static_cast<double>(thermal.last_solve_stats().iterations);
+  };
+  thermal::StepController controller(control);
+  double sim_time_s = 0.0;
+  while (sim_time_s < duration_s) {
+    const double remaining_s = duration_s - sim_time_s;
+    double dt_s = 0.0;
+    while (true) {
+      dt_s = controller.propose(remaining_s);
+      std::vector<double> half = t;
+      std::vector<double> trial;
+      std::vector<double> prev_trial;
+      util::Grid2D<double> trial_heat = evap_heat;
+      for (int k = 0; k < core::kTransientCouplingPasses; ++k) {
+        set_boundary(trial_heat);
+        step(t, half, 0.5 * dt_s);
+        if (k == 0) trial = half;
+        step(half, trial, 0.5 * dt_s);
+        const util::Grid2D<double> next_heat = clamped_top_heat(trial);
+        for (std::size_t i = 0; i < trial_heat.data().size(); ++i) {
+          trial_heat.data()[i] += core::kTransientCouplingRelaxation *
+                                  (next_heat.data()[i] - trial_heat.data()[i]);
+        }
+        if (!prev_trial.empty() &&
+            max_abs_diff(trial, prev_trial) <=
+                core::kTransientCouplingAgreement * control.tolerance_c) {
+          break;
+        }
+        prev_trial = trial;
+      }
+      std::vector<double> full = trial;
+      step(t, full, dt_s);
+      if (controller.evaluate(dt_s, max_abs_diff(full, trial))) {
+        t = std::move(trial);
+        evap_heat = std::move(trial_heat);
+        break;
+      }
+      ++out.rejected_steps;
+    }
+    sim_time_s = dt_s == remaining_s ? duration_s : sim_time_s + dt_s;
+    ++out.steps;
+    out.peak_tcase_c = std::max(
+        out.peak_tcase_c,
+        thermal::case_temperature(thermal.layer_field(t, stack.ihs_layer),
+                                  stack.grid, package_region));
+    out.peak_die_c = std::max(
+        out.peak_die_c,
+        thermal::compute_metrics(thermal.layer_field(t, stack.die_layer),
+                                 stack.grid, stack.die_region)
+            .max_c);
+  }
+  return out;
+}
+
+TEST_F(TransientEngineTest, ForcingTermPassesKeepStepsAndPeaks) {
+  // A cold-start x264 segment at full power hits the coupling pass cap, so
+  // many of its trials run passes past the second at the forcing-term
+  // tolerance.  Against the same loop with every pass at the committed
+  // 1e-9: the same accepted and rejected steps, peaks within 1e-3 °C, and
+  // strictly less CG work.
+  const datacenter::FleetConfig fleet = small_fleet();
+  const std::vector<workload::WorkloadTrace> streams{
+      workload::WorkloadTrace({{"x264", {1.0}, 4.0}})};
+  const datacenter::TransientEngineConfig config;
+  util::Telemetry& telemetry = util::Telemetry::instance();
+  telemetry.enable();
+  telemetry.reset();
+  core::SolveCache::global()->clear();  // the segment integrates cold
+  const datacenter::TransientFleetResult engine =
+      datacenter::TransientFleetEngine(fleet, config).run(streams);
+  const std::vector<util::SpanRecord> spans = telemetry.merged_spans();
+  const util::MetricsSnapshot metrics = telemetry.metrics();
+  telemetry.reset();
+  telemetry.disable();
+  ASSERT_EQ(metrics.dropped_spans, 0u);
+
+  const auto segment =
+      std::find_if(spans.begin(), spans.end(), [](const util::SpanRecord& s) {
+        return s.name == "transient.segment";
+      });
+  ASSERT_NE(segment, spans.end());
+  EXPECT_GT(span_arg(*segment, "capped_trials"), 0.0);
+  double engine_iterations = 0.0;
+  for (const util::SpanRecord& cg : spans) {
+    if (cg.name == "cg" && cg.tid == segment->tid &&
+        cg.start_ns >= segment->start_ns &&
+        cg.start_ns + cg.dur_ns <= segment->start_ns + segment->dur_ns) {
+      engine_iterations += span_arg(cg, "iterations");
+    }
+  }
+
+  ASSERT_EQ(engine.intervals.size(), 1u);
+  ASSERT_EQ(engine.intervals[0].jobs.size(), 1u);
+  const datacenter::TransientJobOutcome& out = engine.intervals[0].jobs[0];
+  const datacenter::JobOutcome& job = engine.steady.intervals[0].jobs[0];
+  EXPECT_EQ(job.decision.cores.size(), 8u);
+  const datacenter::RackSpec& rack = fleet.racks[job.rack];
+  core::ApproachPipeline pipeline(rack.approach, rack.cell_size_m);
+  const thermosyphon::OperatingPoint op{
+      .water_flow_kg_h =
+          core::server_config_for(rack.approach, rack.cell_size_m)
+              .operating_point.water_flow_kg_h,
+      .water_inlet_c =
+          engine.steady.intervals[0].racks[job.rack].cooling.supply_temp_c};
+  const TightSegment tight =
+      tight_segment(pipeline.server(), job, op, 4.0,
+                    config.start_temperature_c, config.step_control);
+
+  EXPECT_EQ(out.steps, tight.steps);
+  EXPECT_EQ(out.rejected_steps, tight.rejected_steps);
+  EXPECT_NEAR(out.peak_tcase_c, tight.peak_tcase_c, 1e-3);
+  EXPECT_NEAR(out.peak_die_c, tight.peak_die_c, 1e-3);
+  EXPECT_LT(engine_iterations, tight.cg_iterations);
 }
 
 TEST_F(TransientEngineTest, SnapshotWarmRerunReplaysWithZeroMisses) {
